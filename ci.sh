@@ -22,23 +22,18 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (window bounds + u32 guards stay hard checks)"
-# The window engine's bounds and index-width guards are plain asserts, not
-# debug_assert!: they must fire in optimized builds too, where an
-# out-of-range index would otherwise silently alias another element. Run
-# the regression tests under --release so a future debug_assert! demotion
-# fails CI instead of shipping.
+echo "==> release-mode soundness (bounds, copy and clock guards stay hard checks)"
+# These guards are plain asserts, not debug_assert!: they must fire in
+# optimized builds too. Without them an out-of-range window or element
+# index silently aliases another element, overlapping copy destinations
+# race in the unsynchronized copy threads, and a NaN duration poisons the
+# simulated clock. Run the regression tests under --release so a future
+# debug_assert! demotion fails CI instead of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
 cargo test -q --release -p atmem-hms windows_beyond_u32_index_range_are_rejected
-
-echo "==> plan-vs-window bit-identity property sweep"
-# Random access programs (sweeps, gathers, scatters, non-commutative
-# updates, mid-run migrations, PEBS/trace toggles) through the window
-# engine and the compiled-plan path must agree on every read buffer,
-# counter, the simulated clock, the PEBS/trace streams and the data
-# image. Already part of tier-1 above; dedicated step so a plan-tier
-# divergence is named in CI output (ATMEM_PROP_CASES widens it).
-ATMEM_PROP_CASES="${ATMEM_PROP_CASES:-8}" cargo test -q -p atmem-bench --test plan_prop
+cargo test -q --release -p atmem-hms element_bounds_check_is_a_hard_check
+cargo test -q --release -p atmem-hms overlapping_copy_destinations_are_rejected
+cargo test -q --release -p atmem-hms nan_durations_are_rejected
 
 echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # Quick pass over the fault-injection property harness: a handful of
@@ -87,9 +82,8 @@ echo "==> analyzer-quality smoke (learned vs paper placement gates)"
 cargo test -q --release -p atmem-bench --test analyzer_quality
 
 echo "==> bench smoke (mode-equivalence + core-sweep invariance, no timing gates)"
-# Covers the kernels' three-way Scalar/Bulk/Planned equivalence —
-# checksum, counters and simulated clock must be bit-identical, which is
-# the plan-vs-window equivalence gate on every push — and the --cores
+# Covers the kernels' Scalar/Bulk equivalence — checksum, counters and
+# simulated clock must be bit-identical on every push — and the --cores
 # {1,2,4} checksum-invariance of PR, SpMV and the frontier-sharded
 # traversal kernels (BFS, SSSP, BC). The smoke snapshot goes to target/
 # so it never clobbers the committed full-run baseline at the repo root

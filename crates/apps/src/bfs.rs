@@ -11,7 +11,7 @@ use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
 use crate::kernel::Kernel;
 use crate::par;
-use atmem_hms::{merge_owner_queues, OwnerQueues, SweepPlan, TrackedVec, WindowPlan};
+use atmem_hms::{merge_owner_queues, OwnerQueues, TrackedVec};
 
 /// Distance value for unreached vertices.
 pub const UNREACHED: u32 = u32::MAX;
@@ -24,13 +24,6 @@ pub struct Bfs {
     dist: TrackedVec<u32>,
     /// Vertices reached by the last iteration (for assertions/reporting).
     reached: usize,
-    // Compiled-plan slots (`AccessMode::Planned`), one per frontier level:
-    // repeat traversals from the same source produce the same frontier at
-    // every level, so each level's distance-gather and level-scatter
-    // windows compile on the first traversal and replay on later ones.
-    plan_init: Option<SweepPlan>,
-    plan_gather: Vec<Option<WindowPlan>>,
-    plan_scatter: Vec<Option<WindowPlan>>,
 }
 
 impl Bfs {
@@ -46,9 +39,6 @@ impl Bfs {
             source,
             dist,
             reached: 0,
-            plan_init: None,
-            plan_gather: Vec::new(),
-            plan_scatter: Vec::new(),
         })
     }
 
@@ -182,7 +172,7 @@ impl Kernel for Bfs {
         // policy as BC: every traversal kernel rewrites its state each
         // source, so repeat-iteration timings are comparable).
         let n = self.graph.num_vertices();
-        ctx.write_run_planned(&self.dist, &mut self.plan_init, 0, &vec![UNREACHED; n]);
+        ctx.write_run(&self.dist, 0, &vec![UNREACHED; n]);
         let mut frontier = vec![self.source];
         ctx.set(&self.dist, self.source as usize, 0);
         let mut level = 0u32;
@@ -199,11 +189,6 @@ impl Kernel for Bfs {
         // frontier are identical to the interleaved per-edge loop.
         while !frontier.is_empty() {
             level += 1;
-            let lvl = level as usize - 1;
-            if self.plan_gather.len() <= lvl {
-                self.plan_gather.push(None);
-                self.plan_scatter.push(None);
-            }
             all_nbrs.clear();
             for &v in &frontier {
                 let (start, end) = self.graph.edge_bounds(ctx, v as usize);
@@ -212,7 +197,7 @@ impl Kernel for Bfs {
                 all_nbrs.extend_from_slice(&nbrs);
             }
             dbuf.resize(all_nbrs.len(), 0);
-            ctx.gather_planned(&self.dist, &mut self.plan_gather[lvl], &all_nbrs, &mut dbuf);
+            ctx.gather(&self.dist, &all_nbrs, &mut dbuf);
             let mut seen = std::collections::HashSet::new();
             let mut next = Vec::new();
             for (&u, &du) in all_nbrs.iter().zip(&dbuf) {
@@ -220,12 +205,7 @@ impl Kernel for Bfs {
                     next.push(u);
                 }
             }
-            ctx.scatter_planned(
-                &self.dist,
-                &mut self.plan_scatter[lvl],
-                &next,
-                &vec![level; next.len()],
-            );
+            ctx.scatter(&self.dist, &next, &vec![level; next.len()]);
             reached += next.len();
             frontier = next;
         }

@@ -8,7 +8,7 @@
 
 use atmem::{Atmem, Result};
 use atmem_graph::Csr;
-use atmem_hms::{MemPort, SweepPlan, TrackedVec};
+use atmem_hms::{MemPort, TrackedVec};
 
 use crate::access::MemCtx;
 
@@ -141,49 +141,6 @@ impl HmsGraph {
     pub fn weight_run<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, start: u64, buf: &mut [f32]) {
         let w = self.weights.as_ref().expect("graph loaded without weights");
         ctx.read_run(w, start as usize, buf);
-    }
-
-    /// [`bounds_into`](HmsGraph::bounds_into) with a caller-owned sweep-plan
-    /// slot: kernels that stream the offsets every iteration compile the
-    /// sweep once and replay it while the mapping table is unchanged (see
-    /// [`MemCtx::read_run_planned`]).
-    pub fn bounds_into_planned<M: MemPort>(
-        &self,
-        ctx: &mut MemCtx<'_, M>,
-        slot: &mut Option<SweepPlan>,
-        out: &mut Vec<u64>,
-    ) {
-        out.resize(self.num_vertices + 1, 0);
-        ctx.read_run_planned(&self.offsets, slot, 0, out);
-    }
-
-    /// [`neighbor_run`](HmsGraph::neighbor_run) with a caller-owned
-    /// sweep-plan slot (see [`MemCtx::read_run_planned`]).
-    pub fn neighbor_run_planned<M: MemPort>(
-        &self,
-        ctx: &mut MemCtx<'_, M>,
-        slot: &mut Option<SweepPlan>,
-        start: u64,
-        buf: &mut [u32],
-    ) {
-        ctx.read_run_planned(&self.neighbors, slot, start as usize, buf);
-    }
-
-    /// [`weight_run`](HmsGraph::weight_run) with a caller-owned sweep-plan
-    /// slot (see [`MemCtx::read_run_planned`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the graph is unweighted.
-    pub fn weight_run_planned<M: MemPort>(
-        &self,
-        ctx: &mut MemCtx<'_, M>,
-        slot: &mut Option<SweepPlan>,
-        start: u64,
-        buf: &mut [f32],
-    ) {
-        let w = self.weights.as_ref().expect("graph loaded without weights");
-        ctx.read_run_planned(w, slot, start as usize, buf);
     }
 
     /// Total bytes of the resident CSR arrays.

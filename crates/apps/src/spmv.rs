@@ -7,7 +7,7 @@
 //! exactly the behaviour §9 describes.
 
 use atmem::{Atmem, Result};
-use atmem_hms::{SweepPlan, TrackedVec, WindowPlan};
+use atmem_hms::TrackedVec;
 
 use crate::access::MemCtx;
 use crate::graph_data::HmsGraph;
@@ -26,14 +26,6 @@ pub struct Spmv {
     vals: Vec<f32>,
     xs: Vec<f64>,
     ybuf: Vec<f64>,
-    // Compiled-plan slots (used in `AccessMode::Planned`): SpMV's iteration
-    // space is identical every iteration, so each stream compiles once and
-    // replays until a migration bumps the mapping generation.
-    plan_bounds: Option<SweepPlan>,
-    plan_cols: Option<SweepPlan>,
-    plan_vals: Option<SweepPlan>,
-    plan_x: Option<WindowPlan>,
-    plan_y: Option<SweepPlan>,
 }
 
 impl Spmv {
@@ -61,11 +53,6 @@ impl Spmv {
             vals: vec![0.0; e],
             xs: vec![0.0; e],
             ybuf: vec![0.0; n],
-            plan_bounds: None,
-            plan_cols: None,
-            plan_vals: None,
-            plan_x: None,
-            plan_y: None,
         })
     }
 
@@ -139,25 +126,19 @@ impl Kernel for Spmv {
             return;
         }
         let n = self.graph.num_vertices();
-        // Stream phase: row bounds, column indices, matrix values. The
-        // `_planned` variants behave exactly like the plain ones outside
-        // `AccessMode::Planned`; in planned mode they compile each stream
-        // once and replay the per-tier run plan every iteration.
-        self.graph
-            .bounds_into_planned(ctx, &mut self.plan_bounds, &mut self.bounds);
+        // Stream phase: row bounds, column indices, matrix values.
+        self.graph.bounds_into(ctx, &mut self.bounds);
         let num_edges = self.graph.num_edges();
         self.cols.resize(num_edges, 0);
-        self.graph
-            .neighbor_run_planned(ctx, &mut self.plan_cols, 0, &mut self.cols);
+        self.graph.neighbor_run(ctx, 0, &mut self.cols);
         self.vals.resize(num_edges, 0.0);
-        self.graph
-            .weight_run_planned(ctx, &mut self.plan_vals, 0, &mut self.vals);
+        self.graph.weight_run(ctx, 0, &mut self.vals);
         // Gather phase: x[col] accesses follow the neighbour distribution —
         // one simulated access per edge in order, batched by the window
         // engine in bulk mode; the row reduction then runs host-side on the
         // staged values.
         self.xs.resize(num_edges, 0.0);
-        ctx.gather_planned(&self.x, &mut self.plan_x, &self.cols, &mut self.xs);
+        ctx.gather(&self.x, &self.cols, &mut self.xs);
         self.ybuf.resize(n, 0.0);
         for (row, y_row) in self.ybuf.iter_mut().enumerate() {
             let mut acc = 0.0f64;
@@ -167,7 +148,7 @@ impl Kernel for Spmv {
             *y_row = acc;
         }
         // Store phase: one sequential stream into y.
-        ctx.write_run_planned(&self.y, &mut self.plan_y, 0, &self.ybuf);
+        ctx.write_run(&self.y, 0, &self.ybuf);
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {

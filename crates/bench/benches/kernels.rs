@@ -1,26 +1,13 @@
 //! Wall-clock micro-benchmarks of one kernel iteration through the full
 //! simulated access path (host simulator throughput, not simulated time).
 //!
-//! Each kernel runs three times — through a [`AccessMode::Scalar`] context
-//! (per-element path), through [`AccessMode::Bulk`] (block walks and the
-//! window engine), and through [`AccessMode::Planned`] (compiled per-tier
-//! run plans) — and all three must agree on the kernel checksum, the
+//! Each kernel runs twice — through a [`AccessMode::Scalar`] context
+//! (per-element path) and through [`AccessMode::Bulk`] (block walks and the
+//! window engine) — and both must agree on the kernel checksum, the
 //! machine counters and the simulated clock (the fast paths are invisible
 //! in simulation space). SpMV and PageRank full iterations assert the ≥3x
 //! host speedup of the stream-dominated path; the isolated PageRank
 //! scatter and SpMV gather phases assert ≥2x on the window engine alone.
-//!
-//! The plan-migrated kernels (SpMV, PR push, PR pull, BFS) compare
-//! *steady-state* plan replay against the window engine (first iteration
-//! compiles, subsequent iterations replay). The attainable replay speedup
-//! is bounded by the bit-identity contract: both paths pay the identical
-//! per-line TLB walk and LLC probe — the dominant cost — so replay only
-//! removes the per-element mapping lookup, translation-key and bounds
-//! work. Measured steady-state speedups are 1.05–1.5x (gather-heavy
-//! kernels highest, sweep-dominated traversals lowest); the gates pin
-//! that reality: replay must never regress below 0.85x on any kernel and
-//! the geometric mean across the four must stay ≥1x (see
-//! `EXPERIMENTS.md`).
 //!
 //! The **core sweep** runs PageRank, SpMV and the traversal kernels (BFS,
 //! SSSP, BC) at 1 and 4 simulated cores: kernel checksums must be
@@ -91,8 +78,7 @@ fn fresh_kernel(csr: &Csr, make: &Make) -> (Atmem, Box<dyn Kernel>) {
 
 fn run_once(csr: &Csr, mode: AccessMode, make: &Make) -> (f64, MachineStats, SimDuration) {
     let (mut rt, mut kernel) = fresh_kernel(csr, make);
-    // Two iterations: in planned mode the first compiles the plans and the
-    // second replays them, so both plan-tier phases must be invisible.
+    // Two iterations: the second runs against warm TLB/LLC state.
     for _ in 0..2 {
         kernel.run_iteration(&mut MemCtx::new(rt.machine_mut(), mode));
     }
@@ -100,19 +86,17 @@ fn run_once(csr: &Csr, mode: AccessMode, make: &Make) -> (f64, MachineStats, Sim
     (sum, rt.machine().stats(), rt.now())
 }
 
-/// Runs two iterations in all three modes and asserts the simulated
-/// results are bit-identical — the plan-vs-window equivalence gate CI
-/// runs on every push (`--smoke`).
+/// Runs two iterations in both modes and asserts the simulated results
+/// are bit-identical — the Scalar/Bulk equivalence gate CI runs on every
+/// push (`--smoke`).
 fn assert_modes_agree(name: &str, csr: &Csr, make: &Make) {
     let (scalar_sum, scalar_stats, scalar_now) = run_once(csr, AccessMode::Scalar, make);
-    for (label, mode) in [("bulk", AccessMode::Bulk), ("planned", AccessMode::Planned)] {
-        let (sum, stats, now) = run_once(csr, mode, make);
-        assert_eq!(scalar_sum, sum, "{name}: {label} checksum diverges");
-        assert_eq!(scalar_stats, stats, "{name}: {label} counters diverge");
-        assert_eq!(scalar_now, now, "{name}: {label} simulated clock diverges");
-    }
+    let (sum, stats, now) = run_once(csr, AccessMode::Bulk, make);
+    assert_eq!(scalar_sum, sum, "{name}: bulk checksum diverges");
+    assert_eq!(scalar_stats, stats, "{name}: bulk counters diverge");
+    assert_eq!(scalar_now, now, "{name}: bulk simulated clock diverges");
     println!(
-        "equivalence/{name}: scalar/bulk/planned ok ({} accesses)",
+        "equivalence/{name}: scalar/bulk ok ({} accesses)",
         scalar_stats.accesses
     );
 }
@@ -141,36 +125,6 @@ fn compare_modes(name: &str, csr: &Csr, make: &Make) -> f64 {
     // either access path.
     let speedup = results[0].min_ns() / results[1].min_ns();
     println!("kernel_iteration/{name}: bulk speedup {speedup:.2}x\n");
-    speedup
-}
-
-/// Times a *steady-state* iteration — setup runs one warmup iteration in
-/// the same mode, so planned runs replay compiled plans instead of
-/// compiling them — in Bulk vs Planned, and returns the planned-over-bulk
-/// host speedup. This is the plan tier's whole value proposition: the
-/// compile cost is paid once, the replay skips the window engine's
-/// per-element mapping, translation-key and bounds work on every
-/// subsequent iteration.
-fn compare_planned(name: &str, csr: &Csr, make: &Make) -> f64 {
-    let mut results = Vec::new();
-    for (label, mode) in [("bulk", AccessMode::Bulk), ("planned", AccessMode::Planned)] {
-        let r = bench_with_setup(
-            &format!("steady_iteration/{name}/{label}"),
-            SAMPLES,
-            || {
-                let (mut rt, mut kernel) = fresh_kernel(csr, make);
-                kernel.run_iteration(&mut MemCtx::new(rt.machine_mut(), mode));
-                (rt, kernel)
-            },
-            |(mut rt, mut kernel)| {
-                kernel.run_iteration(&mut MemCtx::new(rt.machine_mut(), mode));
-                black_box((rt, kernel))
-            },
-        );
-        results.push(r);
-    }
-    let speedup = results[0].min_ns() / results[1].min_ns();
-    println!("steady_iteration/{name}: planned speedup {speedup:.2}x\n");
     speedup
 }
 
@@ -434,23 +388,12 @@ fn main() {
     let spmv_speedup = compare_modes("SpMV", &weighted, &make_spmv);
     let pr_speedup = compare_modes("PR", &plain, &make_pr);
 
-    // Steady-state plan-vs-window comparison for the plan-migrated kernels.
-    let plan_speedups = [
-        ("SpMV", compare_planned("SpMV", &weighted, &make_spmv)),
-        ("PR", compare_planned("PR", &plain, &make_pr)),
-        ("PR-pull", compare_planned("PR-pull", &plain, &make_prpull)),
-        ("BFS", compare_planned("BFS", &trav, &make_bfs)),
-    ];
-
     let mut entries = vec![
         ("bulk_speedup_SpMV".to_string(), spmv_speedup),
         ("bulk_speedup_PR".to_string(), pr_speedup),
         ("bulk_speedup_PR_scatter".to_string(), pr_scatter),
         ("bulk_speedup_SpMV_gather".to_string(), spmv_gather),
     ];
-    for (name, speedup) in plan_speedups {
-        entries.push((format!("plan_speedup_{name}"), speedup));
-    }
     for (name, sweep) in [
         ("PR", pr_sweep),
         ("SpMV", spmv_sweep),
@@ -483,30 +426,6 @@ fn main() {
         spmv_gather >= 2.0,
         "SpMV gather phase must be >= 2x faster in bulk, got {spmv_gather:.2}x"
     );
-    // Plan-replay gates. Bit-identity caps the ceiling: the per-line
-    // TLB/LLC simulation dominates both paths, so replay only sheds the
-    // per-element mapping-lookup/translation/bounds work (~1.05–1.5x
-    // measured; see the module doc and EXPERIMENTS.md). Gate what holds
-    // robustly across hosts and runs: no kernel regresses, and replay is
-    // a net win on average. (Per-kernel ratios wobble run to run — the
-    // absolute deltas are tens of microseconds on a shared host — so the
-    // positive gate averages across kernels instead of picking one.)
-    for (name, speedup) in plan_speedups {
-        assert!(
-            speedup >= 0.85,
-            "{name} steady-state plan replay must not regress below the \
-             window engine (>= 0.85x), got {speedup:.2}x"
-        );
-    }
-    let geomean = (plan_speedups.iter().map(|&(_, s)| s.ln()).sum::<f64>()
-        / plan_speedups.len() as f64)
-        .exp();
-    assert!(
-        geomean >= 1.0,
-        "plan replay must be a net win across the plan-migrated kernels; \
-         geometric-mean speedup was {geomean:.2}x"
-    );
-
     // The sharded-engine wall-clock gate needs real hardware threads to
     // shard over; on smaller hosts the sweep still reports, but only the
     // invariance half gates.

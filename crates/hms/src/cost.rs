@@ -27,8 +27,16 @@ impl SimDuration {
     pub const ZERO: SimDuration = SimDuration(0.0);
 
     /// Creates a duration from nanoseconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `ns` is NaN, infinite or negative, in every build profile:
+    /// a NaN clock would silently poison every later comparison.
     pub fn from_ns(ns: f64) -> Self {
-        debug_assert!(ns.is_finite() && ns >= 0.0, "durations are non-negative");
+        assert!(
+            ns.is_finite() && ns >= 0.0,
+            "durations are finite and non-negative, got {ns}"
+        );
         SimDuration(ns)
     }
 
@@ -235,5 +243,13 @@ mod tests {
         d += SimDuration::from_ns(3.0);
         assert!((d.as_ns() - 6.0).abs() < 1e-12);
         assert!((d.as_secs() - 6e-9).abs() < 1e-18);
+    }
+
+    /// A NaN duration is rejected in every profile (also run under
+    /// `--release` by ci.sh).
+    #[test]
+    #[should_panic(expected = "finite and non-negative")]
+    fn nan_durations_are_rejected() {
+        let _ = SimDuration::from_ns(f64::NAN);
     }
 }

@@ -58,7 +58,6 @@ pub mod machine;
 pub mod mapping;
 mod mbind;
 pub mod pebs;
-pub mod plan;
 pub mod platform;
 pub mod shard;
 pub mod stats;
@@ -76,7 +75,6 @@ pub use frame::{FrameAllocator, FrameRun};
 pub use machine::{AllocationInfo, Machine, MigrationReport, Placement, Scalar};
 pub use mapping::{Mapping, MappingTable, PageKind};
 pub use pebs::{Pebs, SampleRecord};
-pub use plan::{SweepPlan, WindowPlan};
 pub use platform::Platform;
 pub use shard::{
     merge_owner_queues, BlockSegment, CoreCtx, CoreHandle, MemPort, OwnerQueues, MAX_TIERS,

@@ -17,7 +17,6 @@ use crate::fault::{FaultPlan, FaultSite};
 use crate::frame::FrameRun;
 use crate::mapping::{huge_eligible, Mapping, MappingTable, PageKind};
 use crate::pebs::{Pebs, SampleRecord};
-use crate::plan::{SweepPlan, WindowPlan};
 use crate::platform::Platform;
 use crate::shard::{BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS};
 use crate::stats::MachineStats;
@@ -836,80 +835,6 @@ impl Machine {
     }
 
     // ------------------------------------------------------------------
-    // Compiled access plans (see the `plan` module)
-    // ------------------------------------------------------------------
-
-    /// The current mapping-table generation; compiled plans are valid only
-    /// while it is unchanged (see [`crate::plan`]).
-    pub fn mapping_generation(&self) -> u64 {
-        self.mappings.generation()
-    }
-
-    /// Whether compiled-plan replay is currently allowed: `false` whenever
-    /// per-access detail is observable — PEBS sampling enabled, tracing
-    /// enabled, or a fault plan armed — in which case callers must take the
-    /// per-access window path.
-    pub fn plan_ready(&self) -> bool {
-        !self.core.pebs.is_enabled() && !self.core.tracer.is_enabled() && self.fault.is_none()
-    }
-
-    /// Lowers an indexed window into a reusable [`WindowPlan`]
-    /// (see [`CoreHandle::compile_window`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any element is unmapped; nothing has been
-    /// charged.
-    pub(crate) fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan> {
-        self.core_handle()
-            .compile_window::<T>(base, elem_count, indices)
-    }
-
-    /// Replays a compiled window as a gather
-    /// (see [`CoreHandle::run_plan_gather`]).
-    pub(crate) fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]) {
-        self.core_handle().run_plan_gather(plan, out)
-    }
-
-    /// Replays a compiled window as a scatter
-    /// (see [`CoreHandle::run_plan_scatter`]).
-    pub(crate) fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]) {
-        self.core_handle().run_plan_scatter(plan, values)
-    }
-
-    /// Replays a compiled window as a read-modify-write sweep
-    /// (see [`CoreHandle::run_plan_update`]).
-    pub(crate) fn run_plan_update<T: Scalar>(
-        &mut self,
-        plan: &WindowPlan,
-        f: impl FnMut(usize, T) -> T,
-    ) {
-        self.core_handle().run_plan_update(plan, f)
-    }
-
-    /// Lowers a contiguous element sweep into a reusable [`SweepPlan`]
-    /// (see [`CoreHandle::compile_sweep`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of the range is unmapped; nothing
-    /// has been charged.
-    pub(crate) fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan> {
-        self.core_handle().compile_sweep(range, elem)
-    }
-
-    /// Replays a compiled sweep's accounting
-    /// (see [`CoreHandle::run_plan_sweep`]).
-    pub(crate) fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool) {
-        self.core_handle().run_plan_sweep(plan, write)
-    }
-
-    // ------------------------------------------------------------------
     // Accounted bulk access (the TrackedVec slice fast path)
     // ------------------------------------------------------------------
 
@@ -1265,7 +1190,9 @@ impl Machine {
     /// Executes the copies for real, in parallel across up to `threads`
     /// OS threads over disjoint byte ranges.
     fn execute_copies(&mut self, jobs: &[CopyJob], threads: usize) {
-        debug_assert!(jobs_disjoint_dst(jobs), "copy destinations overlap");
+        // Hard check, not debug_assert: disjoint destinations are the
+        // safety precondition of the unsynchronized `copy_job` threads.
+        assert!(jobs_disjoint_dst(jobs), "copy destinations overlap");
         // Collect raw base pointers per tier. Jobs touch disjoint
         // destination ranges, and sources are never written concurrently.
         let bases: Vec<SendPtr> = self
@@ -1880,43 +1807,6 @@ impl MemPort for Machine {
     ) -> Result<()> {
         Machine::gather_update(self, base, elem_count, indices, f)
     }
-
-    fn mapping_generation(&self) -> u64 {
-        Machine::mapping_generation(self)
-    }
-
-    fn plan_ready(&self) -> bool {
-        Machine::plan_ready(self)
-    }
-
-    fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan> {
-        Machine::compile_window::<T>(self, base, elem_count, indices)
-    }
-
-    fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]) {
-        Machine::run_plan_gather(self, plan, out)
-    }
-
-    fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]) {
-        Machine::run_plan_scatter(self, plan, values)
-    }
-
-    fn run_plan_update<T: Scalar>(&mut self, plan: &WindowPlan, f: impl FnMut(usize, T) -> T) {
-        Machine::run_plan_update(self, plan, f)
-    }
-
-    fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan> {
-        Machine::compile_sweep(self, range, elem)
-    }
-
-    fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool) {
-        Machine::run_plan_sweep(self, plan, write)
-    }
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -1954,7 +1844,7 @@ unsafe impl Sync for SendPtr {}
 /// source and destination ranges must be in bounds, and no other thread may
 /// concurrently write any byte of the job's source or destination ranges.
 /// `execute_copies` guarantees this: destination ranges are pairwise
-/// disjoint (debug-asserted), staging frames are freshly allocated and thus
+/// disjoint (checked), staging frames are freshly allocated and thus
 /// never alias a source, and `&mut self` excludes all other machine access.
 unsafe fn copy_job(bases: &[SendPtr], job: &CopyJob) {
     let src = bases[job.src_tier.index()].0.add(job.src_off) as *const u8;
@@ -2498,6 +2388,23 @@ mod tests {
             violations.iter().any(|v| v.contains("frame leak")),
             "leak not flagged: {violations:#?}"
         );
+    }
+
+    /// Disjoint destinations are the safety precondition of the parallel
+    /// `copy_job` threads, so overlapping jobs panic before any byte moves,
+    /// in every profile (also run under `--release` by ci.sh).
+    #[test]
+    #[should_panic(expected = "copy destinations overlap")]
+    fn overlapping_copy_destinations_are_rejected() {
+        let mut m = machine();
+        let job = |dst_off| CopyJob {
+            src_tier: TierId::SLOW,
+            src_off: 0,
+            dst_tier: TierId::FAST,
+            dst_off,
+            len: PAGE_SIZE,
+        };
+        m.execute_copies(&[job(0), job(PAGE_SIZE / 2)], 2);
     }
 
     #[test]

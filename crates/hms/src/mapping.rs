@@ -138,10 +138,6 @@ pub struct MappingTable {
     map: BTreeMap<u64, Mapping>,
     /// Last successfully used mapping (by start page), checked first.
     cache: Option<Mapping>,
-    /// Bumped on every structural change (insert/remove). Compiled access
-    /// plans record the generation they were lowered against and are stale —
-    /// and must recompile — whenever it moves.
-    generation: u64,
 }
 
 impl MappingTable {
@@ -175,7 +171,6 @@ impl MappingTable {
         );
         self.map.insert(m.vpage_start, m);
         self.cache = Some(m);
-        self.generation += 1;
     }
 
     /// Removes and returns the mapping starting exactly at `vpage_start`.
@@ -185,11 +180,7 @@ impl MappingTable {
                 self.cache = None;
             }
         }
-        let removed = self.map.remove(&vpage_start);
-        if removed.is_some() {
-            self.generation += 1;
-        }
-        removed
+        self.map.remove(&vpage_start)
     }
 
     /// Finds the mapping containing virtual page `vpage`.
@@ -274,13 +265,6 @@ impl MappingTable {
     /// changed the cached entry).
     pub fn flush_cache(&mut self) {
         self.cache = None;
-    }
-
-    /// Current mapping generation. Moves on every insert or remove, so any
-    /// migration, remap, allocation, or free invalidates plans compiled
-    /// against an older value.
-    pub fn generation(&self) -> u64 {
-        self.generation
     }
 }
 

@@ -54,7 +54,6 @@ use crate::error::{HmsError, Result};
 use crate::machine::Scalar;
 use crate::mapping::{Mapping, MappingTable, PageKind};
 use crate::pebs::Pebs;
-use crate::plan::{SweepPlan, WindowPlan};
 use crate::platform::Platform;
 use crate::tier::{Tier, TierId, TierSpec};
 use crate::tlb::Tlb;
@@ -70,11 +69,11 @@ pub const MAX_TIERS: usize = 8;
 /// loop monomorphizes branch-free. `OP_RMW` is simulated as a read followed
 /// by a guaranteed-hit write of the same line, exactly like
 /// [`CoreHandle::read_modify_write`].
-pub(crate) const OP_READ: u8 = 0;
+const OP_READ: u8 = 0;
 /// Write each element (see [`OP_READ`]).
-pub(crate) const OP_WRITE: u8 = 1;
+const OP_WRITE: u8 = 1;
 /// Read-modify-write each element (see [`OP_READ`]).
-pub(crate) const OP_RMW: u8 = 2;
+const OP_RMW: u8 = 2;
 
 /// Access totals local to one simulated core.
 #[derive(Debug, Default)]
@@ -218,13 +217,13 @@ impl<'a> TiersView<'a> {
 
     /// The spec of `tier`.
     #[inline]
-    pub(crate) fn spec(&self, tier: TierId) -> &TierSpec {
+    fn spec(&self, tier: TierId) -> &TierSpec {
         self.spec_at(tier.index())
     }
 
     /// The spec of the tier at `index`.
     #[inline]
-    pub(crate) fn spec_at(&self, index: usize) -> &TierSpec {
+    fn spec_at(&self, index: usize) -> &TierSpec {
         debug_assert!(index < self.count);
         // SAFETY: the pointer was taken from a tier borrowed for 'a and the
         // spec is never mutated while mapped (tiers are read-mostly shared
@@ -234,7 +233,7 @@ impl<'a> TiersView<'a> {
 
     /// Borrows `len` bytes of `tier`'s storage starting at `offset`.
     #[inline]
-    pub(crate) fn bytes(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
+    fn bytes(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
         let v = &self.views[tier.index()];
         assert!(offset + len <= v.cap, "tier storage slice out of bounds");
         // SAFETY: in bounds (checked), storage outlives 'a, and the
@@ -246,7 +245,7 @@ impl<'a> TiersView<'a> {
     /// `offset`.
     #[allow(clippy::mut_from_ref)] // the view is a shared window over storage owned elsewhere
     #[inline]
-    pub(crate) fn bytes_mut(&self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
+    fn bytes_mut(&self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
         let v = &self.views[tier.index()];
         assert!(offset + len <= v.cap, "tier storage slice out of bounds");
         // SAFETY: in bounds (checked), storage outlives 'a, and the
@@ -266,10 +265,10 @@ impl<'a> TiersView<'a> {
 /// resident core.
 #[derive(Debug)]
 pub struct CoreHandle<'a> {
-    pub(crate) core: &'a mut CoreCtx,
-    pub(crate) mappings: &'a MappingTable,
-    pub(crate) platform: &'a Platform,
-    pub(crate) tiers: TiersView<'a>,
+    core: &'a mut CoreCtx,
+    mappings: &'a MappingTable,
+    platform: &'a Platform,
+    tiers: TiersView<'a>,
 }
 
 impl<'a> CoreHandle<'a> {
@@ -1018,14 +1017,14 @@ impl<'a> CoreHandle<'a> {
 /// Rejects index windows over objects too large for `u32` indices. The
 /// window engine addresses elements through `&[u32]`, so a vec beyond
 /// 2^32 elements would silently truncate indices on the billion-edge path;
-/// such sweeps must go through the `u64`/range-based plan tier instead
-/// (see [`crate::plan`]).
+/// such sweeps must go through the range-based block path
+/// ([`CoreHandle::access_block`]) instead.
 #[inline]
 pub(crate) fn check_window_width(elem_count: usize) {
     assert!(
         elem_count <= u32::MAX as usize + 1,
         "window over {elem_count} elements exceeds u32 index range; \
-         use the range-based plan tier for large sweeps"
+         use the range-based block path for large sweeps"
     );
 }
 
@@ -1035,7 +1034,7 @@ pub(crate) fn check_window_width(elem_count: usize) {
 /// share one key per group; everything else is per-page. Mirrors the key
 /// logic exactly so `access_block` batches precisely the accesses the
 /// per-element loop would send to the same TLB entry.
-pub(crate) fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
+fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
     let vpage = va.page_index();
     let end_page = match mapping.kind {
         PageKind::Huge2M => (vpage / HUGE_PAGE_FRAMES as u64 + 1) * HUGE_PAGE_FRAMES as u64,
@@ -1163,56 +1162,6 @@ pub trait MemPort {
         indices: &[u32],
         f: impl FnMut(usize, T) -> T,
     ) -> Result<()>;
-
-    /// The current mapping-table generation; compiled plans are valid only
-    /// while it is unchanged (see [`crate::plan`]).
-    fn mapping_generation(&self) -> u64;
-
-    /// Whether compiled-plan replay is currently allowed: `false` whenever
-    /// per-access detail is observable (PEBS sampling, tracing, or an armed
-    /// fault plan), in which case callers must use the window path.
-    fn plan_ready(&self) -> bool;
-
-    /// Lowers an indexed window into a reusable [`WindowPlan`] without
-    /// touching simulated state (see [`crate::plan`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any element is unmapped; nothing has been
-    /// charged.
-    fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan>;
-
-    /// Replays a compiled window as a gather — bit-identical to
-    /// [`read_gather`](MemPort::read_gather) over the plan's indices.
-    fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]);
-
-    /// Replays a compiled window as a scatter — bit-identical to
-    /// [`write_scatter`](MemPort::write_scatter) over the plan's indices.
-    fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]);
-
-    /// Replays a compiled window as a read-modify-write sweep —
-    /// bit-identical to [`gather_update`](MemPort::gather_update) over the
-    /// plan's indices.
-    fn run_plan_update<T: Scalar>(&mut self, plan: &WindowPlan, f: impl FnMut(usize, T) -> T);
-
-    /// Lowers a contiguous element sweep into a reusable [`SweepPlan`]
-    /// without touching simulated state (see [`crate::plan`]).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of the range is unmapped; nothing
-    /// has been charged.
-    fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan>;
-
-    /// Replays a compiled sweep's accounting — bit-identical to
-    /// [`access_block`](MemPort::access_block) over the plan's range; data
-    /// moves through [`SweepPlan::segments`] and the storage-slice APIs.
-    fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool);
 }
 
 impl MemPort for CoreHandle<'_> {
@@ -1281,43 +1230,6 @@ impl MemPort for CoreHandle<'_> {
         f: impl FnMut(usize, T) -> T,
     ) -> Result<()> {
         CoreHandle::gather_update(self, base, elem_count, indices, f)
-    }
-
-    fn mapping_generation(&self) -> u64 {
-        CoreHandle::mapping_generation(self)
-    }
-
-    fn plan_ready(&self) -> bool {
-        CoreHandle::plan_ready(self)
-    }
-
-    fn compile_window<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: u64,
-        indices: &[u32],
-    ) -> Result<WindowPlan> {
-        CoreHandle::compile_window::<T>(self, base, elem_count, indices)
-    }
-
-    fn run_plan_gather<T: Scalar>(&mut self, plan: &WindowPlan, out: &mut [T]) {
-        CoreHandle::run_plan_gather(self, plan, out)
-    }
-
-    fn run_plan_scatter<T: Scalar>(&mut self, plan: &WindowPlan, values: &[T]) {
-        CoreHandle::run_plan_scatter(self, plan, values)
-    }
-
-    fn run_plan_update<T: Scalar>(&mut self, plan: &WindowPlan, f: impl FnMut(usize, T) -> T) {
-        CoreHandle::run_plan_update(self, plan, f)
-    }
-
-    fn compile_sweep(&mut self, range: VirtRange, elem: usize) -> Result<SweepPlan> {
-        CoreHandle::compile_sweep(self, range, elem)
-    }
-
-    fn run_plan_sweep(&mut self, plan: &SweepPlan, write: bool) {
-        CoreHandle::run_plan_sweep(self, plan, write)
     }
 }
 

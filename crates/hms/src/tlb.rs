@@ -14,10 +14,13 @@ const MEMO_SLOTS: usize = 64;
 
 /// LRU TLB with a fixed number of entries.
 ///
-/// Implemented as a hash map from key to a monotonically increasing
-/// timestamp, with lazy eviction of the least-recently-used entry once
-/// capacity is exceeded. Capacity is small (~1.5 K entries) so the O(n)
-/// eviction scan is amortised by the HashMap fast path.
+/// Resident entries live densely in `slots` as `(key, timestamp)` pairs
+/// with a monotonically increasing timestamp, indexed by a hash map from
+/// key to slot. A miss at capacity evicts the least-recently-used entry
+/// found by a linear scan of `slots`. Capacity is small (~1.5 K entries),
+/// and a dense slice keeps that O(n) scan a tight loop over contiguous
+/// memory. Timestamps are unique, so the victim never depends on slot
+/// order.
 ///
 /// ## The window side-memo
 ///
@@ -40,7 +43,8 @@ const MEMO_SLOTS: usize = 64;
 /// nothing from the memo.
 #[derive(Debug)]
 pub struct Tlb {
-    entries: HashMap<u64, u64>,
+    index: HashMap<u64, u32>,
+    slots: Vec<(u64, u64)>,
     capacity: usize,
     tick: u64,
     hits: u64,
@@ -59,7 +63,8 @@ impl Tlb {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "TLB capacity must be positive");
         Tlb {
-            entries: HashMap::with_capacity(capacity + 1),
+            index: HashMap::with_capacity(capacity + 1),
+            slots: Vec::with_capacity(capacity),
             capacity,
             tick: 0,
             hits: 0,
@@ -86,8 +91,9 @@ impl Tlb {
         while occ != 0 {
             let s = occ.trailing_zeros() as usize;
             occ &= occ - 1;
-            if let Some(ts) = self.entries.get_mut(&self.memo_keys[s]) {
-                *ts = self.memo_ticks[s];
+            let memo_tick = self.memo_ticks[s];
+            if let Some(ts) = self.stamp_of(self.memo_keys[s]) {
+                *ts = memo_tick;
             }
         }
     }
@@ -99,12 +105,12 @@ impl Tlb {
 
     /// Number of live entries.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.slots.len()
     }
 
     /// Whether the TLB holds no entries.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.slots.is_empty()
     }
 
     /// Total hits recorded since creation or the last [`reset_counters`].
@@ -129,16 +135,13 @@ impl Tlb {
         }
         self.tick += 1;
         let tick = self.tick;
-        if let Some(ts) = self.entries.get_mut(&key) {
+        if let Some(ts) = self.stamp_of(key) {
             *ts = tick;
             self.hits += 1;
             return true;
         }
         self.misses += 1;
-        if self.entries.len() >= self.capacity {
-            self.evict_lru();
-        }
-        self.entries.insert(key, tick);
+        self.fill(key, tick);
         false
     }
 
@@ -158,7 +161,7 @@ impl Tlb {
             self.memo_flush();
         }
         let final_tick = self.tick + count as u64;
-        if let Some(ts) = self.entries.get_mut(&key) {
+        if let Some(ts) = self.stamp_of(key) {
             *ts = final_tick;
             self.tick = final_tick;
             self.hits += count as u64;
@@ -169,10 +172,7 @@ impl Tlb {
         self.tick = final_tick;
         self.misses += 1;
         self.hits += (count - 1) as u64;
-        if self.entries.len() >= self.capacity {
-            self.evict_lru();
-        }
-        self.entries.insert(key, final_tick);
+        self.fill(key, final_tick);
         false
     }
 
@@ -207,25 +207,25 @@ impl Tlb {
         // timestamps the scalar loop would have written.
         let final_tick = self.tick + count as u64;
         self.tick = final_tick;
-        let hit = if let Some(ts) = self.entries.get_mut(&key) {
+        let hit = if let Some(ts) = self.stamp_of(key) {
             *ts = final_tick;
             self.hits += count as u64;
             true
         } else {
             self.misses += 1;
             self.hits += (count - 1) as u64;
-            if self.entries.len() >= self.capacity {
+            if self.slots.len() >= self.capacity {
                 self.memo_flush();
-                self.evict_lru();
             }
-            self.entries.insert(key, final_tick);
+            self.fill(key, final_tick);
             false
         };
         // Install the key in the memo, settling any colliding occupant's
         // deferred re-stamp first.
         if self.memo_occ & bit != 0 {
-            if let Some(ts) = self.entries.get_mut(&self.memo_keys[s]) {
-                *ts = self.memo_ticks[s];
+            let memo_tick = self.memo_ticks[s];
+            if let Some(ts) = self.stamp_of(self.memo_keys[s]) {
+                *ts = memo_tick;
             }
         }
         self.memo_keys[s] = key;
@@ -252,11 +252,34 @@ impl Tlb {
         }
     }
 
-    fn evict_lru(&mut self) {
-        debug_assert_eq!(self.memo_occ, 0, "eviction with deferred re-stamps");
-        if let Some((&victim, _)) = self.entries.iter().min_by_key(|&(_, &ts)| ts) {
-            self.entries.remove(&victim);
+    /// The timestamp of resident `key`, if any.
+    #[inline]
+    fn stamp_of(&mut self, key: u64) -> Option<&mut u64> {
+        let &slot = self.index.get(&key)?;
+        Some(&mut self.slots[slot as usize].1)
+    }
+
+    /// Inserts non-resident `key` stamped `tick`, replacing the
+    /// least-recently-used entry in place when the TLB is full. Deferred
+    /// window re-stamps must already be flushed.
+    fn fill(&mut self, key: u64, tick: u64) {
+        if self.slots.len() < self.capacity {
+            self.index.insert(key, self.slots.len() as u32);
+            self.slots.push((key, tick));
+            return;
         }
+        debug_assert_eq!(self.memo_occ, 0, "eviction with deferred re-stamps");
+        let mut victim = 0;
+        let mut oldest = u64::MAX;
+        for (slot, &(_, ts)) in self.slots.iter().enumerate() {
+            if ts < oldest {
+                oldest = ts;
+                victim = slot;
+            }
+        }
+        self.index.remove(&self.slots[victim].0);
+        self.index.insert(key, victim as u32);
+        self.slots[victim] = (key, tick);
     }
 
     /// Invalidates a single entry, as a TLB shootdown for one unit would.
@@ -264,7 +287,12 @@ impl Tlb {
         if self.memo_occ != 0 {
             self.memo_flush();
         }
-        self.entries.remove(&key);
+        if let Some(slot) = self.index.remove(&key) {
+            self.slots.swap_remove(slot as usize);
+            if let Some(&(moved, _)) = self.slots.get(slot as usize) {
+                self.index.insert(moved, slot);
+            }
+        }
     }
 
     /// Invalidates every entry whose key satisfies `pred` (range shootdown).
@@ -272,20 +300,28 @@ impl Tlb {
         if self.memo_occ != 0 {
             self.memo_flush();
         }
-        self.entries.retain(|&k, _| !pred(k));
+        let before = self.slots.len();
+        self.slots.retain(|&(k, _)| !pred(k));
+        if self.slots.len() != before {
+            self.index.clear();
+            for (slot, &(k, _)) in self.slots.iter().enumerate() {
+                self.index.insert(k, slot as u32);
+            }
+        }
     }
 
     /// The keys of every resident entry, in unspecified order. Used by the
     /// machine invariant auditor; safe without a memo flush because the
     /// window memo only defers LRU timestamp re-stamps, never insertions.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
-        self.entries.keys().copied()
+        self.slots.iter().map(|&(k, _)| k)
     }
 
     /// Drops all entries (full flush), keeping the counters.
     pub fn flush(&mut self) {
         self.memo_occ = 0;
-        self.entries.clear();
+        self.index.clear();
+        self.slots.clear();
     }
 
     /// Zeroes the hit/miss counters, keeping the entries. Used to scope the
@@ -354,6 +390,49 @@ mod tests {
         assert_eq!(tlb.len(), 3);
         assert!(tlb.access(1));
         assert!(!tlb.access(0));
+    }
+
+    /// The dense slot table (in-place victim replacement, swap-removal on
+    /// invalidation, re-indexing after a range shootdown) behaves exactly
+    /// like a plain key → timestamp LRU map under random traffic.
+    #[test]
+    fn slot_table_matches_a_reference_lru() {
+        let cap = 8;
+        let mut tlb = Tlb::new(cap);
+        let mut reference: HashMap<u64, u64> = HashMap::new();
+        let mut tick = 0u64;
+        let mut state = 0x243f_6a88_85a3_08d3u64;
+        for _ in 0..5_000 {
+            state = state
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            let key = (state >> 33) % 20;
+            match (state >> 60) % 8 {
+                0 => {
+                    tlb.invalidate(key);
+                    reference.remove(&key);
+                }
+                1 => {
+                    tlb.invalidate_where(|k| k % 7 == key % 7);
+                    reference.retain(|&k, _| k % 7 != key % 7);
+                }
+                _ => {
+                    tick += 1;
+                    let hit = reference.contains_key(&key);
+                    if !hit && reference.len() >= cap {
+                        let (&victim, _) = reference.iter().min_by_key(|&(_, &ts)| ts).unwrap();
+                        reference.remove(&victim);
+                    }
+                    reference.insert(key, tick);
+                    assert_eq!(tlb.access(key), hit, "outcome diverges for key {key}");
+                }
+            }
+            let mut keys: Vec<u64> = tlb.keys().collect();
+            let mut want: Vec<u64> = reference.keys().copied().collect();
+            keys.sort_unstable();
+            want.sort_unstable();
+            assert_eq!(keys, want, "resident sets diverge");
+        }
     }
 
     #[test]

@@ -2,7 +2,7 @@
 
 use atmem_hms::addr::PAGE_SIZE;
 use atmem_hms::{
-    FrameAllocator, FrameRun, Machine, Placement, Platform, TierId, TrackedVec, VirtAddr,
+    FrameAllocator, FrameRun, Machine, Placement, Platform, TierId, TrackedVec, VirtAddr, VirtRange,
 };
 use atmem_prop::prelude::*;
 
@@ -113,12 +113,15 @@ proptest! {
     /// leaves all simulated state — counters, clock, PEBS and trace streams
     /// — bit-identical to the per-element loop, for arbitrary index windows
     /// (duplicates, runs and random jumps included) over an array that
-    /// spills across the tier boundary.
+    /// spills across the tier boundary, across a mid-run `mbind` remap of
+    /// part of the array (which splinters its mappings, moves pages between
+    /// tiers and shoots down TLB entries between two windows).
     #[test]
     fn window_engine_matches_scalar_loop_on_random_windows(
         raw in prop::collection::vec((0u32..5_000, 1usize..5), 1..120),
         ops in prop::collection::vec(0u32..3, 1..6),
         period in 2u64..9,
+        remap in (0usize..6, 0usize..10, 1usize..5, any::<bool>()),
     ) {
         // Expand (start, run) pairs into a window with natural line runs.
         let n = 5_000usize; // u64 array: 40 000 B, spills a 16 KiB fast tier.
@@ -136,7 +139,24 @@ proptest! {
         let vb = TrackedVec::<u64>::new(&mut bulk, n, Placement::Preferred(TierId::FAST)).unwrap();
         let vs =
             TrackedVec::<u64>::new(&mut scalar, n, Placement::Preferred(TierId::FAST)).unwrap();
-        for op in ops {
+        // The remap runs before op `remap_at`: pages [page, page + pages)
+        // of the array's 10 pages go to the fast or the slow tier. A
+        // promotion into the full fast tier fails part-way on both machines
+        // alike (pages moved so far stay moved).
+        let (remap_at, page, pages, to_fast) = remap;
+        let remap_at = remap_at % ops.len();
+        let pages = pages.min(10 - page);
+        let dst = if to_fast { TierId::FAST } else { TierId::SLOW };
+        for (k, op) in ops.into_iter().enumerate() {
+            if k == remap_at {
+                let range = |v: &TrackedVec<u64>| {
+                    let start = v.range().start.add((page * PAGE_SIZE) as u64);
+                    VirtRange::new(start, pages * PAGE_SIZE)
+                };
+                let rb = bulk.migrate_mbind(range(&vb), dst);
+                let rs = scalar.migrate_mbind(range(&vs), dst);
+                prop_assert_eq!(rb, rs);
+            }
             match op {
                 0 => {
                     let mut out = vec![0u64; window.len()];
@@ -171,6 +191,7 @@ proptest! {
         }
         prop_assert_eq!(bulk.pebs_drain(), scalar.pebs_drain());
         prop_assert_eq!(bulk.trace_drain(), scalar.trace_drain());
+        prop_assert_eq!(vb.to_vec(&mut bulk), vs.to_vec(&mut scalar));
     }
 
     /// Simulated time is monotone under any access sequence.

@@ -156,7 +156,7 @@ fn machine_digest(platform: Platform) -> u64 {
 /// The BFS column was re-captured when the scalar BFS body moved to
 /// level-synchronous expansion (one distance-gather window and one
 /// level-scatter window per frontier level, matching the sharded body's
-/// expand/settle structure) for the compiled-plan tier: distances and
+/// expand/settle structure): distances and
 /// frontiers are unchanged, but the access *order* — and therefore the
 /// clock/TLB/LLC digest — legitimately moved. The PageRank (sharded) and
 /// machine-scenario columns were bit-identical across that change.
