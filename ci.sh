@@ -22,18 +22,22 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (bounds, copy and clock guards stay hard checks)"
-# These guards are plain asserts, not debug_assert!: they must fire in
+echo "==> release-mode soundness (bounds, copy, page and clock guards stay hard checks)"
+# These guards are plain checks, not debug_assert!: they must fire in
 # optimized builds too. Without them an out-of-range window or element
-# index silently aliases another element, overlapping copy destinations
-# race in the unsynchronized copy threads, and a NaN duration poisons the
-# simulated clock. Run the regression tests under --release so a future
-# debug_assert! demotion fails CI instead of shipping.
+# index silently aliases another element, an overlapping copy job silently
+# overwrites bytes an earlier job placed, a page-straddling scalar splits
+# across frames, a tier index past the tier count dereferences a null
+# storage pointer, and a NaN duration poisons the simulated clock. Run the
+# regression tests under --release so a future debug_assert! demotion
+# fails CI instead of shipping.
 cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
 cargo test -q --release -p atmem-hms windows_beyond_u32_index_range_are_rejected
 cargo test -q --release -p atmem-hms element_bounds_check_is_a_hard_check
 cargo test -q --release -p atmem-hms overlapping_copy_destinations_are_rejected
 cargo test -q --release -p atmem-hms nan_durations_are_rejected
+cargo test -q --release -p atmem-hms page_straddling_scalar_access_is_rejected
+cargo test -q --release -p atmem-hms tiers_view_rejects_tiers_past_the_count
 
 echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # Quick pass over the fault-injection property harness: a handful of
@@ -87,7 +91,8 @@ echo "==> bench smoke (mode-equivalence + core-sweep invariance, no timing gates
 # {1,2,4} checksum-invariance of PR, SpMV and the frontier-sharded
 # traversal kernels (BFS, SSSP, BC). The smoke snapshot goes to target/
 # so it never clobbers the committed full-run baseline at the repo root
-# (refresh that one deliberately with `cargo bench --bench kernels`).
-cargo bench -p atmem-bench --bench kernels -- --smoke --json target/BENCH_kernels_smoke.json
+# (refresh that one deliberately with `cargo bench --bench kernels`). The
+# path is absolute because cargo runs the bench from crates/bench.
+cargo bench -p atmem-bench --bench kernels -- --smoke --json "$PWD/target/BENCH_kernels_smoke.json"
 
 echo "CI gate passed."

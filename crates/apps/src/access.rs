@@ -24,17 +24,16 @@
 //! `MemCtx` is generic over any [`MemPort`] — the concrete `Machine` (the
 //! default) or a per-core `CoreHandle` inside a `Machine::run_cores` phase.
 //! The [`par_cores`](MemCtx::par_cores) knob, set once by the runner or
-//! harness via [`with_cores`](MemCtx::with_cores), tells sharded-capable
-//! kernels how many simulated cores to partition each phase over. The
-//! regular kernels split their streaming phases by contiguous range; the
-//! traversal kernels (BFS, BFS-dir, SSSP, BC) partition each frontier
-//! level, routing discovered vertices through per-owner queues
+//! harness via [`with_cores`](MemCtx::with_cores), tells the kernels how
+//! many simulated cores to partition each phase over. Every kernel has
+//! one body, written against `Machine::run_cores`. The regular kernels
+//! split their streaming phases by contiguous range; the traversal
+//! kernels (BFS, BFS-dir, SSSP, BC) partition each frontier level,
+//! routing discovered vertices through per-owner queues
 //! (`atmem_hms::OwnerQueues`) so every property write stays single-writer
-//! and the next frontier is canonical for any core count. Kernels without
-//! a sharded body simply ignore the knob and run scalar. At
-//! `par_cores == 1` every kernel takes its historical scalar path, which
-//! `Machine::run_cores` guarantees is bit-identical to the pre-sharding
-//! engine.
+//! and the next frontier is canonical for any core count. At
+//! `par_cores == 1` each phase runs on the machine's resident core, with
+//! no fork, merge or barrier.
 
 use atmem_hms::{Machine, MemPort, Scalar, TrackedVec};
 
@@ -91,8 +90,8 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
         MemCtx::new(machine, AccessMode::Scalar)
     }
 
-    /// Sets the number of simulated cores sharded-capable kernels should
-    /// partition their phases over (builder-style).
+    /// Sets the number of simulated cores kernels partition their phases
+    /// over (builder-style).
     ///
     /// # Panics
     ///
@@ -104,8 +103,8 @@ impl<'a, M: MemPort> MemCtx<'a, M> {
         self
     }
 
-    /// The simulated-core count sharded kernels partition over (1 = the
-    /// historical scalar path).
+    /// The simulated-core count kernels partition over (1 = the machine's
+    /// resident core alone).
     pub fn par_cores(&self) -> usize {
         self.par_cores
     }

@@ -51,6 +51,20 @@ impl Bc {
     pub fn scores(&self, rt: &mut Atmem) -> Vec<f64> {
         self.bc.to_vec(rt.machine_mut())
     }
+}
+
+impl Kernel for Bc {
+    fn name(&self) -> &'static str {
+        "BC"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        let m = rt.machine_mut();
+        self.sigma.fill(m, 0.0);
+        self.depth.fill(m, -1);
+        self.delta.fill(m, 0.0);
+        self.bc.fill(m, 0.0);
+    }
 
     /// One Brandes source partitioned over `ctx.par_cores()` simulated
     /// cores.
@@ -61,18 +75,18 @@ impl Bc {
     /// replays its merged queue single-writer — first touch stamps the
     /// depth and seeds sigma, later hits accumulate. Path counts are
     /// integers carried in f64, so the accumulation is exact and the final
-    /// sigma is independent of fold order — bit-identical to scalar.
+    /// sigma is independent of fold order and core count.
     ///
-    /// **Backward**, the scalar reverse-order sweep becomes one phase per
+    /// **Backward**, Brandes' reverse-order sweep runs as one phase per
     /// depth level, deepest first (the per-level frontiers recorded on the
-    /// way down are exactly the depth-aligned slabs of `order`). All
+    /// way down are the depth-aligned slabs of the traversal order). All
     /// cross-vertex dependencies go through `delta` of *strictly deeper*
     /// vertices — finalized a phase earlier — and every slab vertex is
     /// visited exactly once, so each core can sweep a contiguous slab
-    /// slice with the scalar per-vertex body, writing only its own
-    /// `delta[v]`/`bc[v]` entries. Each vertex folds its children in edge
-    /// order either way, so the scores are bit-identical to scalar too.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// slice vertex by vertex, writing only its own `delta[v]`/`bc[v]`
+    /// entries. Each vertex folds its children in edge order, so the
+    /// scores are bit-identical for every core count.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
         let mode = ctx.mode();
@@ -88,7 +102,7 @@ impl Bc {
         let src = self.source as usize;
 
         // Accounted re-init, partitioned, with the source seeded by its
-        // owner (same totals as the scalar body's three fills).
+        // owner: three sequential fills.
         machine.run_cores(cores, |c, h| {
             let mut cctx = MemCtx::new(h, mode);
             let (lo, hi) = (fill_cuts[c], fill_cuts[c + 1]);
@@ -153,7 +167,7 @@ impl Bc {
         }
 
         // Backward: one phase per slab, deepest first; cores sweep
-        // contiguous slab slices with the scalar per-vertex body.
+        // contiguous slab slices vertex by vertex.
         for slab in levels.iter().rev() {
             let slab_cuts = par::even_cuts(slab.len(), cores);
             machine.run_cores(cores, |c, h| {
@@ -195,105 +209,6 @@ impl Bc {
                     }
                 }
             });
-        }
-    }
-}
-
-impl Kernel for Bc {
-    fn name(&self) -> &'static str {
-        "BC"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        let m = rt.machine_mut();
-        self.sigma.fill(m, 0.0);
-        self.depth.fill(m, -1);
-        self.delta.fill(m, 0.0);
-        self.bc.fill(m, 0.0);
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        // Per-iteration re-init through the accounted path (the arrays are
-        // rewritten every source on real runs too): three sequential fills.
-        ctx.write_run(&self.sigma, 0, &vec![0.0f64; n]);
-        ctx.write_run(&self.depth, 0, &vec![-1i32; n]);
-        ctx.write_run(&self.delta, 0, &vec![0.0f64; n]);
-        // Forward phase. Depth checks gate every write, so the sweep is
-        // data-dependent and stays per-element.
-        let s = self.source as usize;
-        ctx.set(&self.sigma, s, 1.0);
-        ctx.set(&self.depth, s, 0);
-        let mut order: Vec<u32> = Vec::new();
-        let mut frontier = vec![self.source];
-        let mut level = 0i32;
-        let mut nbrs: Vec<u32> = Vec::new();
-        let mut dbuf: Vec<i32> = Vec::new();
-        let mut matched: Vec<u32> = Vec::new();
-        let mut sbuf: Vec<f64> = Vec::new();
-        let mut delbuf: Vec<f64> = Vec::new();
-        while !frontier.is_empty() {
-            order.extend_from_slice(&frontier);
-            level += 1;
-            let mut next = Vec::new();
-            for &v in &frontier {
-                let sv = ctx.get(&self.sigma, v as usize);
-                let (start, end) = self.graph.edge_bounds(ctx, v as usize);
-                nbrs.resize((end - start) as usize, 0);
-                self.graph.neighbor_run(ctx, start, &mut nbrs);
-                for &u in &nbrs {
-                    let u = u as usize;
-                    let du = ctx.get(&self.depth, u);
-                    if du < 0 {
-                        ctx.set(&self.depth, u, level);
-                        next.push(u as u32);
-                        ctx.set(&self.sigma, u, sv);
-                    } else if du == level {
-                        let su = ctx.get(&self.sigma, u);
-                        ctx.set(&self.sigma, u, su + sv);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        // Backward phase: accumulate dependencies in reverse BFS order. Each
-        // vertex gathers its neighbours' depths in one window, filters the
-        // children (depth == dv + 1), then gathers their sigma and delta
-        // windows and accumulates host-side in window order.
-        for &v in order.iter().rev() {
-            let v = v as usize;
-            let dv = ctx.get(&self.depth, v);
-            let sv = ctx.get(&self.sigma, v);
-            let (start, end) = self.graph.edge_bounds(ctx, v);
-            nbrs.resize((end - start) as usize, 0);
-            self.graph.neighbor_run(ctx, start, &mut nbrs);
-            let mut acc = ctx.get(&self.delta, v);
-            dbuf.resize(nbrs.len(), 0);
-            ctx.gather(&self.depth, &nbrs, &mut dbuf);
-            matched.clear();
-            matched.extend(
-                nbrs.iter()
-                    .zip(&dbuf)
-                    .filter(|&(_, &d)| d == dv + 1)
-                    .map(|(&u, _)| u),
-            );
-            sbuf.resize(matched.len(), 0.0);
-            ctx.gather(&self.sigma, &matched, &mut sbuf);
-            delbuf.resize(matched.len(), 0.0);
-            ctx.gather(&self.delta, &matched, &mut delbuf);
-            for (&su, &du) in sbuf.iter().zip(&delbuf) {
-                if su > 0.0 {
-                    acc += sv / su * (1.0 + du);
-                }
-            }
-            ctx.set(&self.delta, v, acc);
-            if v != s {
-                ctx.update(&self.bc, v, |b| b + acc);
-            }
         }
     }
 

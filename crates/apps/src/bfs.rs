@@ -56,6 +56,17 @@ impl Bfs {
     pub fn distances(&self, rt: &mut Atmem) -> Vec<u32> {
         self.dist.to_vec(rt.machine_mut())
     }
+}
+
+impl Kernel for Bfs {
+    fn name(&self) -> &'static str {
+        "BFS"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        self.dist.fill(rt.machine_mut(), UNREACHED);
+        self.reached = 0;
+    }
 
     /// One full traversal partitioned over `ctx.par_cores()` simulated
     /// cores via deterministic level-synchronous frontier partitioning.
@@ -78,8 +89,9 @@ impl Bfs {
     /// The level a vertex is discovered at is independent of expansion
     /// order, and the canonical frontier order is a pure function of the
     /// discovered *set*, so distances (and the next frontier) are
-    /// bit-identical for every core count and to the scalar body.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// bit-identical for every core count. With one core both phases run
+    /// on the machine's resident core.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
         let mode = ctx.mode();
@@ -148,66 +160,6 @@ impl Bfs {
             });
             frontier = discovered.concat();
             reached += frontier.len();
-        }
-        self.reached = reached;
-    }
-}
-
-impl Kernel for Bfs {
-    fn name(&self) -> &'static str {
-        "BFS"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        self.dist.fill(rt.machine_mut(), UNREACHED);
-        self.reached = 0;
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        // Per-iteration re-init through the accounted path (the same
-        // policy as BC: every traversal kernel rewrites its state each
-        // source, so repeat-iteration timings are comparable).
-        let n = self.graph.num_vertices();
-        ctx.write_run(&self.dist, 0, &vec![UNREACHED; n]);
-        let mut frontier = vec![self.source];
-        ctx.set(&self.dist, self.source as usize, 0);
-        let mut level = 0u32;
-        let mut reached = 1usize;
-        let mut nbrs: Vec<u32> = Vec::new();
-        let mut all_nbrs: Vec<u32> = Vec::new();
-        let mut dbuf: Vec<u32> = Vec::new();
-        // Level-synchronous expansion (the scalar mirror of the sharded
-        // expand/settle split): stream the level's adjacency runs, check
-        // all candidate distances in one gather window, dedup first-touch
-        // host-side in first-occurrence order, then write the level to the
-        // discovered set in one scatter window. A vertex's discovery level
-        // is independent of expansion order, so distances and the next
-        // frontier are identical to the interleaved per-edge loop.
-        while !frontier.is_empty() {
-            level += 1;
-            all_nbrs.clear();
-            for &v in &frontier {
-                let (start, end) = self.graph.edge_bounds(ctx, v as usize);
-                nbrs.resize((end - start) as usize, 0);
-                self.graph.neighbor_run(ctx, start, &mut nbrs);
-                all_nbrs.extend_from_slice(&nbrs);
-            }
-            dbuf.resize(all_nbrs.len(), 0);
-            ctx.gather(&self.dist, &all_nbrs, &mut dbuf);
-            let mut seen = std::collections::HashSet::new();
-            let mut next = Vec::new();
-            for (&u, &du) in all_nbrs.iter().zip(&dbuf) {
-                if du == UNREACHED && seen.insert(u) {
-                    next.push(u);
-                }
-            }
-            ctx.scatter(&self.dist, &next, &vec![level; next.len()]);
-            reached += next.len();
-            frontier = next;
         }
         self.reached = reached;
     }

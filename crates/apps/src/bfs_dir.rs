@@ -60,6 +60,17 @@ impl BfsDir {
     pub fn distances(&self, rt: &mut Atmem) -> Vec<u32> {
         self.dist.to_vec(rt.machine_mut())
     }
+}
+
+impl Kernel for BfsDir {
+    fn name(&self) -> &'static str {
+        "BFS-dir"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        self.dist.fill(rt.machine_mut(), UNREACHED);
+        self.phases = (0, 0);
+    }
 
     /// Direction-optimizing traversal partitioned over `ctx.par_cores()`
     /// simulated cores.
@@ -71,7 +82,7 @@ impl BfsDir {
     /// balanced vertex range, reads its distance slice as a level-start
     /// snapshot, and probes unvisited vertices' in-edges for a parent at
     /// `level - 1` — and an owner-only **claim** phase that scatters the
-    /// level into each core's found list. The naive scalar interleaving
+    /// level into each core's found list. The naive interleaving
     /// (writing `dist[v]` while other vertices' probes read `dist`) would
     /// violate the partition contract, which is why the scan phase works
     /// from the immutable snapshot.
@@ -80,8 +91,8 @@ impl BfsDir {
     /// level-synchronous traversal, and the frontier is kept in canonical
     /// ascending order, so the direction switch (a pure function of
     /// frontier/unvisited counts) and the distances are bit-identical for
-    /// every core count and to the scalar body.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// every core count.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.out_graph.num_vertices();
         let cores = ctx.par_cores();
         let mode = ctx.mode();
@@ -187,79 +198,6 @@ impl BfsDir {
                 frontier = discovered.concat();
             }
             unvisited -= frontier.len().min(unvisited);
-        }
-        self.phases = (top_down_levels, bottom_up_levels);
-    }
-}
-
-impl Kernel for BfsDir {
-    fn name(&self) -> &'static str {
-        "BFS-dir"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        self.dist.fill(rt.machine_mut(), UNREACHED);
-        self.phases = (0, 0);
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.out_graph.num_vertices();
-        // Per-iteration re-init through the accounted path (the same
-        // policy as BC: every traversal kernel rewrites its state each
-        // source, so repeat-iteration timings are comparable).
-        ctx.write_run(&self.dist, 0, &vec![UNREACHED; n]);
-        ctx.set(&self.dist, self.source as usize, 0);
-        let mut frontier = vec![self.source];
-        let mut unvisited = n - 1;
-        let mut level = 0u32;
-        let mut top_down_levels = 0u32;
-        let mut bottom_up_levels = 0u32;
-        let mut nbrs: Vec<u32> = Vec::new();
-        while !frontier.is_empty() {
-            level += 1;
-            let go_bottom_up = frontier.len() as f64 > SWITCH_THRESHOLD * (unvisited.max(1)) as f64;
-            let mut next = Vec::new();
-            if go_bottom_up {
-                bottom_up_levels += 1;
-                // Bottom-up: every unvisited vertex gathers over in-edges.
-                for v in 0..n {
-                    if ctx.get(&self.dist, v) != UNREACHED {
-                        continue;
-                    }
-                    let (s, e) = self.in_graph.edge_bounds(ctx, v);
-                    for edge in s..e {
-                        let u = self.in_graph.neighbor(ctx, edge) as usize;
-                        if ctx.get(&self.dist, u) == level - 1 {
-                            ctx.set(&self.dist, v, level);
-                            next.push(v as u32);
-                            break;
-                        }
-                    }
-                }
-            } else {
-                top_down_levels += 1;
-                for &v in &frontier {
-                    let (s, e) = self.out_graph.edge_bounds(ctx, v as usize);
-                    // Out-adjacency runs are sequential; the bottom-up
-                    // search loops above stay per-element because they
-                    // terminate early on the first visited parent.
-                    nbrs.resize((e - s) as usize, 0);
-                    self.out_graph.neighbor_run(ctx, s, &mut nbrs);
-                    for &u in &nbrs {
-                        let u = u as usize;
-                        if ctx.get(&self.dist, u) == UNREACHED {
-                            ctx.set(&self.dist, u, level);
-                            next.push(u as u32);
-                        }
-                    }
-                }
-            }
-            unvisited -= next.len().min(unvisited);
-            frontier = next;
         }
         self.phases = (top_down_levels, bottom_up_levels);
     }

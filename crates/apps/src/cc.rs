@@ -61,8 +61,14 @@ impl Cc {
     /// lowering is Gauss–Seidel: every vertex observes lowerings made
     /// earlier *in the same pass*, a sequential dependency chain that
     /// admits no deterministic partition — so this phase always runs on
-    /// one core and both the scalar and sharded paths share it verbatim
-    /// (which is what keeps the output bit-identical across core counts).
+    /// the resident core (which is what keeps the output bit-identical
+    /// across core counts).
+    ///
+    /// Each vertex's neighbour labels are gathered as one window, the
+    /// min/lower decisions replay host-side (an overlay map makes duplicate
+    /// neighbours observe in-window lowerings), and the accepted lowerings
+    /// scatter back in decision order — one read per edge and one write per
+    /// lowering, like the per-element loop.
     fn propagate(&mut self, ctx: &mut MemCtx, bounds: &[u64], nbrs: &[u32]) {
         let mut changed = 0u64;
         let mut lbuf: Vec<u32> = Vec::new();
@@ -98,13 +104,27 @@ impl Cc {
         }
         self.changed_last = changed;
     }
+}
+
+impl Kernel for Cc {
+    fn name(&self) -> &'static str {
+        "CC"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        let m = rt.machine_mut();
+        for v in 0..self.graph.num_vertices() {
+            self.labels.poke(m, v, v as u32);
+        }
+        self.changed_last = 0;
+    }
 
     /// One pass with the CSR streams partitioned over `ctx.par_cores()`
     /// simulated cores (each core reads its edge-balanced slice of the
     /// bounds and neighbour arrays through its own accounted core), then
     /// the sequential [`propagate`](Cc::propagate) phase on the resident
     /// core over the reassembled host staging.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let mode = ctx.mode();
         let machine = ctx.machine();
@@ -132,37 +152,6 @@ impl Cc {
             }
             nbrs.extend_from_slice(&ns);
         }
-        self.propagate(ctx, &bounds, &nbrs);
-    }
-}
-
-impl Kernel for Cc {
-    fn name(&self) -> &'static str {
-        "CC"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        let m = rt.machine_mut();
-        for v in 0..self.graph.num_vertices() {
-            self.labels.poke(m, v, v as u32);
-        }
-        self.changed_last = 0;
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        // Stream phase: row bounds and neighbour ids.
-        let bounds = self.graph.bounds(ctx);
-        let mut nbrs = vec![0u32; self.graph.num_edges()];
-        self.graph.neighbor_run(ctx, 0, &mut nbrs);
-        // Propagation phase: each vertex's neighbour labels are gathered as
-        // one window, the min/lower decisions replay host-side (an overlay
-        // map makes duplicate neighbours observe in-window lowerings), and
-        // the accepted lowerings scatter back in decision order — one read
-        // per edge and one write per lowering, like the per-element loop.
         self.propagate(ctx, &bounds, &nbrs);
     }
 

@@ -96,30 +96,15 @@ impl HmsGraph {
         ctx.get(w, e as usize)
     }
 
-    /// Accounted sequential read of all `n + 1` CSR row bounds.
-    pub fn bounds<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>) -> Vec<u64> {
-        let mut out = Vec::new();
-        self.bounds_into(ctx, &mut out);
-        out
-    }
-
-    /// Like [`bounds`](HmsGraph::bounds), but reuses `out`'s allocation
-    /// (kernels that stream the offsets every iteration keep one scratch
-    /// buffer instead of reallocating).
-    pub fn bounds_into<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, out: &mut Vec<u64>) {
-        out.resize(self.num_vertices + 1, 0);
-        ctx.read_run(&self.offsets, 0, out);
-    }
-
     /// Accounted sequential read of `out.len()` row bounds starting at
-    /// vertex `start` (sharded kernels stream just their partition's
-    /// slice; a core covering `lo..hi` reads `hi - lo + 1` bounds).
+    /// vertex `start` (kernels stream just their partition's slice; a core
+    /// covering `lo..hi` reads `hi - lo + 1` bounds).
     pub fn bounds_run<M: MemPort>(&self, ctx: &mut MemCtx<'_, M>, start: usize, out: &mut [u64]) {
         ctx.read_run(&self.offsets, start, out);
     }
 
     /// Unaccounted host copy of all row bounds. Partitioning metadata for
-    /// the sharded kernels: the split points must be known *before* the
+    /// the kernels: the split points must be known *before* the
     /// cores fork, and the cores then re-read their own slices through the
     /// accounted path ([`bounds_run`](HmsGraph::bounds_run)).
     pub fn host_bounds(&self, machine: &mut impl MemPort) -> Vec<u64> {

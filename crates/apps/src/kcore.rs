@@ -56,9 +56,9 @@ impl KCore {
     /// The peeling phase over pre-staged bounds. Each removal immediately
     /// decrements live neighbours' degrees, and those decrements gate what
     /// the frontier admits next — a data-dependent sequential chain that
-    /// admits no deterministic partition — so this phase always runs on one
-    /// core and both the scalar and sharded paths share it verbatim (which
-    /// is what keeps the output bit-identical across core counts).
+    /// admits no deterministic partition — so this phase always runs on the
+    /// resident core (which is what keeps the output bit-identical across
+    /// core counts).
     fn peel(&mut self, ctx: &mut MemCtx, bounds: &[u64]) {
         let n = self.graph.num_vertices();
         let mut alive = n;
@@ -109,12 +109,26 @@ impl KCore {
         }
         self.max_core = k;
     }
+}
+
+impl Kernel for KCore {
+    fn name(&self) -> &'static str {
+        "kCore"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        let m = rt.machine_mut();
+        for v in 0..self.graph.num_vertices() {
+            self.core.poke(m, v, 0);
+        }
+        self.max_core = 0;
+    }
 
     /// One decomposition with the degree initialisation partitioned over
     /// `ctx.par_cores()` simulated cores (each core streams its
     /// edge-balanced bounds slice and writes its owned degree slice), then
     /// the sequential [`peel`](KCore::peel) phase on the resident core.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let mode = ctx.mode();
         let machine = ctx.machine();
@@ -140,34 +154,6 @@ impl KCore {
                 bounds[cuts[c]..=cuts[c + 1]].copy_from_slice(&b);
             }
         }
-        self.peel(ctx, &bounds);
-    }
-}
-
-impl Kernel for KCore {
-    fn name(&self) -> &'static str {
-        "kCore"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        let m = rt.machine_mut();
-        for v in 0..self.graph.num_vertices() {
-            self.core.poke(m, v, 0);
-        }
-        self.max_core = 0;
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        // Initialise degrees through the accounted path (part of the work):
-        // one bounds stream in, one degree stream out.
-        let bounds = self.graph.bounds(ctx);
-        let degrees: Vec<u32> = (0..n).map(|v| (bounds[v + 1] - bounds[v]) as u32).collect();
-        ctx.write_run(&self.degree, 0, &degrees);
         self.peel(ctx, &bounds);
     }
 

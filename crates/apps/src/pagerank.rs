@@ -24,13 +24,6 @@ pub struct PageRank {
     rank: TrackedVec<f64>,
     next: TrackedVec<f64>,
     iterations_run: usize,
-    // Host-side staging buffers, reused across iterations.
-    bounds: Vec<u64>,
-    nbrs: Vec<u32>,
-    ranks: Vec<f64>,
-    shares: Vec<f64>,
-    accs: Vec<f64>,
-    zeros: Vec<f64>,
 }
 
 impl PageRank {
@@ -41,7 +34,6 @@ impl PageRank {
     /// Allocation failures for the rank accumulators.
     pub fn new(rt: &mut Atmem, graph: HmsGraph) -> Result<Self> {
         let n = graph.num_vertices();
-        let e = graph.num_edges();
         let rank = rt.malloc::<f64>(n, "pr.rank")?;
         let next = rt.malloc::<f64>(n, "pr.next")?;
         Ok(PageRank {
@@ -49,12 +41,6 @@ impl PageRank {
             rank,
             next,
             iterations_run: 0,
-            bounds: vec![0; n + 1],
-            nbrs: vec![0; e],
-            ranks: vec![0.0; n],
-            shares: vec![0.0; e],
-            accs: vec![0.0; n],
-            zeros: vec![0.0; n],
         })
     }
 
@@ -66,6 +52,19 @@ impl PageRank {
     /// Copies the rank vector out of simulated memory (unaccounted).
     pub fn ranks(&self, rt: &mut Atmem) -> Vec<f64> {
         self.rank.to_vec(rt.machine_mut())
+    }
+}
+
+impl Kernel for PageRank {
+    fn name(&self) -> &'static str {
+        "PR"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        let n = self.graph.num_vertices() as f64;
+        self.rank.fill(rt.machine_mut(), 1.0 / n);
+        self.next.fill(rt.machine_mut(), 0.0);
+        self.iterations_run = 0;
     }
 
     /// One power iteration partitioned over `ctx.par_cores()` simulated
@@ -80,9 +79,9 @@ impl PageRank {
     /// to it — source cores in core order, each bucket already in edge
     /// order, so every accumulator entry folds in **global edge order**
     /// (f64 addition is non-associative; this ordering is what keeps the
-    /// output bit-identical to the scalar body for any core count) — and
+    /// output bit-identical for any core count) — and
     /// finishes with the damping sweep over the same owned slice.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
         let mode = ctx.mode();
@@ -109,6 +108,17 @@ impl PageRank {
             let (es, ee) = (b[0] as usize, b[hi - lo] as usize);
             let mut nbrs = vec![0u32; ee - es];
             graph.neighbor_run(&mut ctx, es as u64, &mut nbrs);
+            // Size every owner bucket exactly before filling it: buckets
+            // grown by doubling overshoot by up to 2x, and at one core the
+            // single bucket spans every edge.
+            let mut counts = vec![0usize; cores];
+            for &u in &nbrs {
+                counts[par::owner(&dst_cuts, u as usize)] += 1;
+            }
+            for (bucket, &k) in out.iter_mut().zip(&counts) {
+                bucket.0.reserve_exact(k);
+                bucket.1.reserve_exact(k);
+            }
             for v in lo..hi {
                 let (s, e) = (b[v - lo] as usize, b[v - lo + 1] as usize);
                 if s == e {
@@ -145,60 +155,6 @@ impl PageRank {
             ctx.write_run(rank, lo, &accs);
             ctx.write_run(next, lo, &vec![0.0f64; hi - lo]);
         });
-        self.iterations_run += 1;
-    }
-}
-
-impl Kernel for PageRank {
-    fn name(&self) -> &'static str {
-        "PR"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        let n = self.graph.num_vertices() as f64;
-        self.rank.fill(rt.machine_mut(), 1.0 / n);
-        self.next.fill(rt.machine_mut(), 0.0);
-        self.iterations_run = 0;
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        // Stream phase: row bounds, current ranks, then all neighbour ids.
-        self.graph.bounds_into(ctx, &mut self.bounds);
-        self.ranks.resize(n, 0.0);
-        ctx.read_run(&self.rank, 0, &mut self.ranks);
-        self.nbrs.resize(self.graph.num_edges(), 0);
-        self.graph.neighbor_run(ctx, 0, &mut self.nbrs);
-        // Push phase: the whole edge list is one scatter-update window over
-        // the accumulator, in global edge order, with per-edge shares staged
-        // host-side. Each window is bit-identical to its per-element scalar
-        // loop, so the historical per-vertex window boundaries were
-        // unobservable in simulated state — concatenating them changes nothing.
-        self.shares.resize(self.graph.num_edges(), 0.0);
-        for v in 0..n {
-            let (start, end) = (self.bounds[v] as usize, self.bounds[v + 1] as usize);
-            if start == end {
-                continue;
-            }
-            let share = self.ranks[v] / (end - start) as f64;
-            self.shares[start..end].fill(share);
-        }
-        let shares = &self.shares;
-        ctx.gather_update(&self.next, &self.nbrs, |k, acc| acc + shares[k]);
-        // Damping + swap phase: three sequential streams.
-        let base = (1.0 - DAMPING) / n as f64;
-        self.accs.resize(n, 0.0);
-        ctx.read_run(&self.next, 0, &mut self.accs);
-        for acc in self.accs.iter_mut() {
-            *acc = base + DAMPING * *acc;
-        }
-        ctx.write_run(&self.rank, 0, &self.accs);
-        self.zeros.resize(n, 0.0);
-        ctx.write_run(&self.next, 0, &self.zeros);
         self.iterations_run += 1;
     }
 

@@ -25,17 +25,6 @@ pub struct PageRankPull {
     degree: TrackedVec<u32>,
     rank: TrackedVec<f64>,
     next: TrackedVec<f64>,
-    // Host-side staging buffers, reused across iterations.
-    bounds: Vec<u64>,
-    nbrs: Vec<u32>,
-    dbuf: Vec<u32>,
-    live: Vec<u32>,
-    degs: Vec<u32>,
-    live_off: Vec<usize>,
-    gathered: Vec<f64>,
-    rbuf: Vec<f64>,
-    accs: Vec<f64>,
-    zeros: Vec<f64>,
 }
 
 impl PageRankPull {
@@ -61,22 +50,24 @@ impl PageRankPull {
             degree,
             rank,
             next,
-            bounds: Vec::new(),
-            nbrs: Vec::new(),
-            dbuf: Vec::new(),
-            live: Vec::new(),
-            degs: Vec::new(),
-            live_off: Vec::new(),
-            gathered: Vec::new(),
-            rbuf: Vec::new(),
-            accs: Vec::new(),
-            zeros: Vec::new(),
         })
     }
 
     /// Copies the rank vector out of simulated memory (unaccounted).
     pub fn ranks(&self, rt: &mut Atmem) -> Vec<f64> {
         self.rank.to_vec(rt.machine_mut())
+    }
+}
+
+impl Kernel for PageRankPull {
+    fn name(&self) -> &'static str {
+        "PR-pull"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        let n = self.graph.num_vertices() as f64;
+        self.rank.fill(rt.machine_mut(), 1.0 / n);
+        self.next.fill(rt.machine_mut(), 0.0);
     }
 
     /// One pull iteration partitioned over `ctx.par_cores()` simulated
@@ -88,9 +79,9 @@ impl PageRankPull {
     /// owned slice of `next`. The damping sweep cannot be fused here — it
     /// writes `rank`, which other cores are still gathering — so **phase B**
     /// re-partitions evenly and applies damping over owned slices. Each
-    /// destination reduces in in-edge order exactly as the scalar body
-    /// does, so the output is bit-identical for any core count.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// destination reduces in in-edge order, so the output is
+    /// bit-identical for any core count.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
         let mode = ctx.mode();
@@ -159,75 +150,6 @@ impl PageRankPull {
             ctx.write_run(rank, lo, &accs);
             ctx.write_run(next, lo, &vec![0.0f64; hi - lo]);
         });
-    }
-}
-
-impl Kernel for PageRankPull {
-    fn name(&self) -> &'static str {
-        "PR-pull"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        let n = self.graph.num_vertices() as f64;
-        self.rank.fill(rt.machine_mut(), 1.0 / n);
-        self.next.fill(rt.machine_mut(), 0.0);
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        let num_edges = self.graph.num_edges();
-        // Stream phase: in-edge row bounds and source ids.
-        self.graph.bounds_into(ctx, &mut self.bounds);
-        self.nbrs.resize(num_edges, 0);
-        self.graph.neighbor_run(ctx, 0, &mut self.nbrs);
-        // Gather phase, pass 1: the whole in-neighbour list is one degree
-        // window (per-row windows concatenate — each window is bit-identical
-        // to its scalar loop, so row boundaries are unobservable in
-        // simulated state).
-        self.dbuf.resize(num_edges, 0);
-        ctx.gather(&self.degree, &self.nbrs, &mut self.dbuf);
-        // Host-side live filter: per destination row, the sources with
-        // deg > 0, concatenated in row order.
-        self.live.clear();
-        self.degs.clear();
-        self.live_off.clear();
-        self.live_off.push(0);
-        for v in 0..n {
-            for e in self.bounds[v] as usize..self.bounds[v + 1] as usize {
-                let deg = self.dbuf[e];
-                if deg > 0 {
-                    self.live.push(self.nbrs[e]);
-                    self.degs.push(deg);
-                }
-            }
-            self.live_off.push(self.live.len());
-        }
-        // Gather phase, pass 2: one rank window over the concatenated live sources.
-        self.rbuf.resize(self.live.len(), 0.0);
-        ctx.gather(&self.rank, &self.live, &mut self.rbuf);
-        self.gathered.resize(n, 0.0);
-        for v in 0..n {
-            let mut acc = 0.0f64;
-            for k in self.live_off[v]..self.live_off[v + 1] {
-                acc += self.rbuf[k] / self.degs[k] as f64;
-            }
-            self.gathered[v] = acc;
-        }
-        ctx.write_run(&self.next, 0, &self.gathered);
-        // Damping + swap phase: three sequential streams.
-        let base = (1.0 - DAMPING) / n as f64;
-        self.accs.resize(n, 0.0);
-        ctx.read_run(&self.next, 0, &mut self.accs);
-        for acc in self.accs.iter_mut() {
-            *acc = base + DAMPING * *acc;
-        }
-        ctx.write_run(&self.rank, 0, &self.accs);
-        self.zeros.resize(n, 0.0);
-        ctx.write_run(&self.next, 0, &self.zeros);
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {

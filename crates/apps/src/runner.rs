@@ -98,13 +98,13 @@ pub fn run_protocol(
 }
 
 /// Like [`run_protocol`], but drives both measured iterations with
-/// `par_cores` simulated cores. Every protocol app is sharded-capable:
+/// `par_cores` simulated cores. Every kernel has one sharded body:
 /// the regular kernels (PageRank, CC, SpMV) partition their streaming
 /// phases and the traversal kernels (BFS, BFS-dir, SSSP, BC) partition
 /// each frontier level with owner-routed next-frontier queues, all under
 /// the deterministic reduction contract. The
 /// profiler consumes the merged (core-order-concatenated) PEBS stream
-/// exactly as it consumes the scalar one, and `par_cores == 1` is
+/// exactly as it consumes a single core's, and `par_cores == 1` is
 /// bit-identical to [`run_protocol`].
 ///
 /// # Errors

@@ -20,12 +20,6 @@ pub struct Spmv {
     graph: HmsGraph,
     x: TrackedVec<f64>,
     y: TrackedVec<f64>,
-    // Host-side staging buffers, reused across iterations.
-    bounds: Vec<u64>,
-    cols: Vec<u32>,
-    vals: Vec<f32>,
-    xs: Vec<f64>,
-    ybuf: Vec<f64>,
 }
 
 impl Spmv {
@@ -41,24 +35,28 @@ impl Spmv {
     pub fn new(rt: &mut Atmem, graph: HmsGraph) -> Result<Self> {
         assert!(graph.is_weighted(), "SpMV requires matrix values (weights)");
         let n = graph.num_vertices();
-        let e = graph.num_edges();
         let x = rt.malloc::<f64>(n, "spmv.x")?;
         let y = rt.malloc::<f64>(n, "spmv.y")?;
-        Ok(Spmv {
-            graph,
-            x,
-            y,
-            bounds: vec![0; n + 1],
-            cols: vec![0; e],
-            vals: vec![0.0; e],
-            xs: vec![0.0; e],
-            ybuf: vec![0.0; n],
-        })
+        Ok(Spmv { graph, x, y })
     }
 
     /// Copies the output vector out of simulated memory (unaccounted).
     pub fn output(&self, rt: &mut Atmem) -> Vec<f64> {
         self.y.to_vec(rt.machine_mut())
+    }
+}
+
+impl Kernel for Spmv {
+    fn name(&self) -> &'static str {
+        "SpMV"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        let m = rt.machine_mut();
+        for v in 0..self.graph.num_vertices() {
+            self.x.poke(m, v, 1.0 + (v % 7) as f64);
+            self.y.poke(m, v, 0.0);
+        }
     }
 
     /// One multiply partitioned over `ctx.par_cores()` simulated cores in a
@@ -66,9 +64,8 @@ impl Spmv {
     /// ranges, each core streaming its bounds/column/value slices, gathering
     /// `x[col]` (read-only, so shared reads are safe under the partition
     /// contract) and writing its owned slice of `y`. Each row reduces in
-    /// edge order exactly as the scalar body does, so the output is
-    /// bit-identical for any core count.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// edge order, so the output is bit-identical for any core count.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let mode = ctx.mode();
         let machine = ctx.machine();
@@ -104,51 +101,6 @@ impl Spmv {
             }
             ctx.write_run(y, lo, &ybuf);
         });
-    }
-}
-
-impl Kernel for Spmv {
-    fn name(&self) -> &'static str {
-        "SpMV"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        let m = rt.machine_mut();
-        for v in 0..self.graph.num_vertices() {
-            self.x.poke(m, v, 1.0 + (v % 7) as f64);
-            self.y.poke(m, v, 0.0);
-        }
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        let n = self.graph.num_vertices();
-        // Stream phase: row bounds, column indices, matrix values.
-        self.graph.bounds_into(ctx, &mut self.bounds);
-        let num_edges = self.graph.num_edges();
-        self.cols.resize(num_edges, 0);
-        self.graph.neighbor_run(ctx, 0, &mut self.cols);
-        self.vals.resize(num_edges, 0.0);
-        self.graph.weight_run(ctx, 0, &mut self.vals);
-        // Gather phase: x[col] accesses follow the neighbour distribution —
-        // one simulated access per edge in order, batched by the window
-        // engine in bulk mode; the row reduction then runs host-side on the
-        // staged values.
-        self.xs.resize(num_edges, 0.0);
-        ctx.gather(&self.x, &self.cols, &mut self.xs);
-        self.ybuf.resize(n, 0.0);
-        for (row, y_row) in self.ybuf.iter_mut().enumerate() {
-            let mut acc = 0.0f64;
-            for e in self.bounds[row] as usize..self.bounds[row + 1] as usize {
-                acc += self.vals[e] as f64 * self.xs[e];
-            }
-            *y_row = acc;
-        }
-        // Store phase: one sequential stream into y.
-        ctx.write_run(&self.y, 0, &self.ybuf);
     }
 
     fn checksum(&self, rt: &mut Atmem) -> f64 {

@@ -52,6 +52,17 @@ impl Sssp {
     pub fn distances(&self, rt: &mut Atmem) -> Vec<f32> {
         self.dist.to_vec(rt.machine_mut())
     }
+}
+
+impl Kernel for Sssp {
+    fn name(&self) -> &'static str {
+        "SSSP"
+    }
+
+    fn reset(&mut self, rt: &mut Atmem) {
+        self.dist.fill(rt.machine_mut(), f32::INFINITY);
+        self.relaxations = 0;
+    }
 
     /// Frontier-sharded Bellman-Ford over `ctx.par_cores()` simulated
     /// cores.
@@ -62,20 +73,20 @@ impl Sssp {
     /// distances as a level-start snapshot, and routes every improving
     /// candidate `(u, dist[v] + w)` to the core owning `dist[u]`.
     /// **Tighten** (owner-only writes): each owner replays its merged
-    /// candidate queue through the same compare-and-tighten overlay as the
-    /// scalar body — single-writer, so no cross-core ordering hazard —
-    /// scatters the accepted writes, and emits its slice of the next
-    /// frontier sorted ascending.
+    /// candidate queue through a compare-and-tighten overlay (duplicate
+    /// targets observe the writes queued before them) — single-writer, so
+    /// no cross-core ordering hazard — scatters the accepted writes, and
+    /// emits its slice of the next frontier sorted ascending.
     ///
     /// Candidate queues merge in `(source core, emission)` order, which
     /// for contiguous slices of a sorted frontier **is** global
     /// `(vertex, edge)` order — identical for every core count, so the
-    /// accepted writes and the relaxation counter are too. Against the
-    /// scalar body the per-level schedule differs (scalar lets later
-    /// frontier vertices observe earlier in-level writes), but both are
-    /// monotone descents to the same least fixed point of the f32
-    /// relaxation, so the final distances are bit-identical.
-    fn run_iteration_sharded(&mut self, ctx: &mut MemCtx) {
+    /// accepted writes and the relaxation counter are too. The schedule is
+    /// Jacobi per level (no vertex observes writes of its own level), a
+    /// monotone descent to the least fixed point of the f32 relaxation, so
+    /// the final distances equal the Dijkstra reference
+    /// [`reference_sssp`] bit for bit.
+    fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let n = self.graph.num_vertices();
         let cores = ctx.par_cores();
         let mode = ctx.mode();
@@ -164,78 +175,6 @@ impl Sssp {
                 frontier.extend_from_slice(&next);
                 relaxations += relaxed;
             }
-        }
-        self.relaxations = relaxations;
-    }
-}
-
-impl Kernel for Sssp {
-    fn name(&self) -> &'static str {
-        "SSSP"
-    }
-
-    fn reset(&mut self, rt: &mut Atmem) {
-        self.dist.fill(rt.machine_mut(), f32::INFINITY);
-        self.relaxations = 0;
-    }
-
-    fn run_iteration(&mut self, ctx: &mut MemCtx) {
-        if ctx.par_cores() > 1 {
-            self.run_iteration_sharded(ctx);
-            return;
-        }
-        // Per-iteration re-init through the accounted path (the same
-        // policy as BC: every traversal kernel rewrites its state each
-        // source, so repeat-iteration timings are comparable).
-        let n = self.graph.num_vertices();
-        ctx.write_run(&self.dist, 0, &vec![f32::INFINITY; n]);
-        ctx.set(&self.dist, self.source as usize, 0.0);
-        let mut frontier = vec![self.source];
-        let mut relaxations = 0u64;
-        let mut nbrs: Vec<u32> = Vec::new();
-        let mut ws: Vec<f32> = Vec::new();
-        let mut dbuf: Vec<f32> = Vec::new();
-        let mut widx: Vec<u32> = Vec::new();
-        let mut wvals: Vec<f32> = Vec::new();
-        let mut overlay: std::collections::HashMap<u32, f32> = std::collections::HashMap::new();
-        while !frontier.is_empty() {
-            let mut next = Vec::new();
-            let mut in_next = std::collections::HashSet::new();
-            for &v in &frontier {
-                let dv = ctx.get(&self.dist, v as usize);
-                let (start, end) = self.graph.edge_bounds(ctx, v as usize);
-                let deg = (end - start) as usize;
-                nbrs.resize(deg, 0);
-                ws.resize(deg, 0.0);
-                self.graph.neighbor_run(ctx, start, &mut nbrs);
-                self.graph.weight_run(ctx, start, &mut ws);
-                // Relaxation: gather the neighbour distances as one window,
-                // replay the compare-and-tighten decisions host-side (an
-                // overlay map makes duplicate targets observe the in-window
-                // writes before them), then scatter the accepted writes in
-                // decision order — one read per edge and one write per
-                // relaxation, exactly like the per-element loop.
-                dbuf.resize(deg, 0.0);
-                ctx.gather(&self.dist, &nbrs, &mut dbuf);
-                widx.clear();
-                wvals.clear();
-                overlay.clear();
-                for ((&u, &w), &du) in nbrs.iter().zip(&ws).zip(&dbuf) {
-                    let cur = overlay.get(&u).copied().unwrap_or(du);
-                    let candidate = dv + w;
-                    if candidate < cur {
-                        overlay.insert(u, candidate);
-                        widx.push(u);
-                        wvals.push(candidate);
-                        relaxations += 1;
-                        if in_next.insert(u) {
-                            next.push(u);
-                        }
-                    }
-                }
-                ctx.scatter(&self.dist, &widx, &wvals);
-            }
-            frontier = next;
         }
         self.relaxations = relaxations;
     }

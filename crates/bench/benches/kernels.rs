@@ -294,7 +294,8 @@ fn core_sweep(name: &str, csr: &Csr, smoke: bool, make: &Make) -> Option<(f64, f
 }
 
 /// Hand-rolled JSON snapshot of the run's measurements (no serde in-tree).
-fn write_snapshot(path: &str, smoke: bool, entries: &[(String, f64)]) {
+/// Returns whether the file was written; a failure is reported on stderr.
+fn write_snapshot(path: &str, smoke: bool, entries: &[(String, f64)]) -> bool {
     let mut body = String::from("{\n");
     body.push_str(&format!("  \"smoke\": {smoke},\n"));
     body.push_str(&format!(
@@ -307,8 +308,12 @@ fn write_snapshot(path: &str, smoke: bool, entries: &[(String, f64)]) {
         body.push_str(&format!("    \"{key}\": {value}{sep}\n"));
     }
     body.push_str("  }\n}\n");
-    if let Err(e) = std::fs::write(path, body) {
-        eprintln!("warning: could not write {path}: {e}");
+    match std::fs::write(path, body) {
+        Ok(()) => true,
+        Err(e) => {
+            eprintln!("warning: could not write {path}: {e}");
+            false
+        }
     }
 }
 
@@ -379,9 +384,10 @@ fn main() {
     let bc_sweep = core_sweep("BC", &trav, smoke, &make_bc);
 
     if smoke {
-        write_snapshot(&json_path, smoke, &[]);
         println!("smoke run: equivalence checks passed, timing gates skipped");
-        println!("snapshot: {json_path}");
+        if write_snapshot(&json_path, smoke, &[]) {
+            println!("snapshot: {json_path}");
+        }
         return;
     }
 
@@ -407,8 +413,9 @@ fn main() {
             entries.push((format!("core_sweep_{name}_speedup"), one / four));
         }
     }
-    write_snapshot(&json_path, smoke, &entries);
-    println!("snapshot: {json_path}");
+    if write_snapshot(&json_path, smoke, &entries) {
+        println!("snapshot: {json_path}");
+    }
 
     assert!(
         spmv_speedup >= 3.0,

@@ -18,7 +18,10 @@ use crate::frame::FrameRun;
 use crate::mapping::{huge_eligible, Mapping, MappingTable, PageKind};
 use crate::pebs::{Pebs, SampleRecord};
 use crate::platform::Platform;
-use crate::shard::{BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS};
+use crate::shard::{
+    check_within_page, run_on_threads, BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView,
+    MAX_TIERS,
+};
 use crate::stats::MachineStats;
 use crate::tier::{Tier, TierId};
 use crate::trace::{TraceRecord, Tracer};
@@ -292,9 +295,9 @@ impl Machine {
 
     /// Forks `n` per-core contexts off the resident core: cold TLB and LLC,
     /// clock at zero, independent deterministic PEBS jitter streams, empty
-    /// trace rings. Pair with [`Machine::join_cores`]; most callers want
-    /// [`Machine::run_cores`], which does both around a thread scope.
-    pub fn fork_cores(&mut self, n: usize) -> Vec<CoreCtx> {
+    /// trace rings. [`Machine::run_cores`] pairs it with
+    /// [`Machine::join_cores`] around the per-core threads.
+    fn fork_cores(&mut self, n: usize) -> Vec<CoreCtx> {
         assert!(n > 0, "core count must be positive");
         (0..n)
             .map(|id| self.core.fork(&self.platform, id))
@@ -308,7 +311,7 @@ impl Machine {
     /// clock advances by the maximum per-core elapsed time plus one
     /// [`barrier_cost`](crate::cost::CostModel::barrier_cost) over `n`
     /// cores.
-    pub fn join_cores(&mut self, cores: Vec<CoreCtx>) {
+    fn join_cores(&mut self, cores: Vec<CoreCtx>) {
         let n = cores.len();
         assert!(n > 0, "joining zero cores");
         let mut max_elapsed = SimDuration::ZERO;
@@ -332,8 +335,8 @@ impl Machine {
     /// Runs one simulation phase on `cores` simulated cores.
     ///
     /// `f(core_id, handle)` is invoked once per core — on the caller's
-    /// thread for `cores == 1`, on one OS thread per core under
-    /// [`std::thread::scope`] otherwise — and may drive any partition of
+    /// thread for `cores == 1`, on one scoped OS thread per core otherwise
+    /// (see [`shard`](crate::shard)) — and may drive any partition of
     /// the workload through the handle's accounted access methods. Results
     /// are returned in core order and per-core state is merged under the
     /// deterministic reduction contract ([`Machine::join_cores`]).
@@ -361,28 +364,13 @@ impl Machine {
             return vec![f(0, &mut h)];
         }
         let mut ctxs = self.fork_cores(cores);
-        let results: Vec<R> = {
-            let mappings = &self.mappings;
-            let platform = &self.platform;
-            let tiers = TiersView::new(&mut self.tiers);
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = ctxs
-                    .iter_mut()
-                    .enumerate()
-                    .map(|(id, core)| {
-                        let f = &f;
-                        scope.spawn(move || {
-                            let mut h = CoreHandle::new(core, mappings, platform, tiers);
-                            f(id, &mut h)
-                        })
-                    })
-                    .collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("simulated core panicked"))
-                    .collect()
-            })
-        };
+        let results = run_on_threads(
+            &mut ctxs,
+            &self.mappings,
+            &self.platform,
+            TiersView::new(&mut self.tiers),
+            &f,
+        );
         self.join_cores(ctxs);
         results
     }
@@ -708,6 +696,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`HmsError::InvalidRange`] if the scalar would cross a page
+    /// boundary (nothing is charged).
     #[inline]
     pub fn read<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
         self.core_handle().read(va)
@@ -718,6 +708,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`HmsError::InvalidRange`] if the scalar would cross a page
+    /// boundary (nothing is charged).
     #[inline]
     pub fn write<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
         self.core_handle().write(va, value)
@@ -736,6 +728,8 @@ impl Machine {
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`HmsError::InvalidRange`] if the scalar would cross a page
+    /// boundary (nothing is charged).
     #[inline]
     pub fn read_modify_write<T: Scalar>(
         &mut self,
@@ -907,7 +901,10 @@ impl Machine {
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`HmsError::InvalidRange`] if the scalar would cross a page
+    /// boundary (nothing is charged).
     pub fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
+        check_within_page(va, T::SIZE)?;
         let mapping = self.mappings.lookup(va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self.tiers[frame.tier.index()]
@@ -921,7 +918,10 @@ impl Machine {
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
+    /// [`HmsError::InvalidRange`] if the scalar would cross a page
+    /// boundary (nothing is charged).
     pub fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
+        check_within_page(va, T::SIZE)?;
         let mapping = self.mappings.lookup(va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self.tiers[frame.tier.index()]
@@ -1046,9 +1046,9 @@ impl Machine {
     }
 
     /// Copies the page-aligned virtual `range` into the staging frame run
-    /// `dst` on `dst_tier` using `threads` copier threads. Returns the
-    /// simulated copy time. The copy streams past the LLC (non-temporal),
-    /// so cache and TLB state are unaffected.
+    /// `dst` on `dst_tier`, charged as a copy by `threads` copier threads.
+    /// Returns the simulated copy time. The copy streams past the LLC
+    /// (non-temporal), so cache and TLB state are unaffected.
     ///
     /// # Errors
     ///
@@ -1086,7 +1086,7 @@ impl Machine {
             dst_off += len;
         }
         let time = self.estimate_copy_time(&jobs, threads);
-        self.execute_copies(&jobs, threads);
+        self.execute_copies(&jobs);
         self.core.clock.advance(time);
         Ok(time)
     }
@@ -1128,7 +1128,7 @@ impl Machine {
             src_off += len;
         }
         let time = self.estimate_copy_time(&jobs, threads);
-        self.execute_copies(&jobs, threads);
+        self.execute_copies(&jobs);
         self.core.clock.advance(time);
         Ok(time)
     }
@@ -1187,38 +1187,56 @@ impl Machine {
         SimDuration::from_ns(ns)
     }
 
-    /// Executes the copies for real, in parallel across up to `threads`
-    /// OS threads over disjoint byte ranges.
-    fn execute_copies(&mut self, jobs: &[CopyJob], threads: usize) {
-        // Hard check, not debug_assert: disjoint destinations are the
-        // safety precondition of the unsynchronized `copy_job` threads.
+    /// Executes the copies for real, one after another on the calling
+    /// thread. Their simulated cost comes from
+    /// [`estimate_copy_time`](Machine::estimate_copy_time), which models
+    /// the copier threads; the host copy itself is a memcpy.
+    fn execute_copies(&mut self, jobs: &[CopyJob]) {
+        // Hard check, not debug_assert: a later job would silently
+        // overwrite bytes an earlier one just placed.
         assert!(jobs_disjoint_dst(jobs), "copy destinations overlap");
-        // Collect raw base pointers per tier. Jobs touch disjoint
-        // destination ranges, and sources are never written concurrently.
-        let bases: Vec<SendPtr> = self
-            .tiers
-            .iter_mut()
-            .map(|t| SendPtr(t.storage.base_ptr()))
-            .collect();
-        let workers = threads.clamp(1, 8).min(jobs.len().max(1));
-        if workers <= 1 || jobs.len() == 1 {
-            for job in jobs {
-                // SAFETY: see `copy_job`.
-                unsafe { copy_job(&bases, job) };
-            }
+        for job in jobs {
+            self.copy_bytes(
+                job.src_tier,
+                job.src_off,
+                job.dst_tier,
+                job.dst_off,
+                job.len,
+            );
+        }
+    }
+
+    /// Copies `len` bytes of tier storage from `(src_tier, src_off)` to
+    /// `(dst_tier, dst_off)`, with no simulated-time accounting (callers
+    /// charge the copy through their own cost model). Overlapping ranges
+    /// on one tier copy as if through an intermediate buffer.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range exceeds its tier's storage.
+    pub(crate) fn copy_bytes(
+        &mut self,
+        src_tier: TierId,
+        src_off: usize,
+        dst_tier: TierId,
+        dst_off: usize,
+        len: usize,
+    ) {
+        let (s, d) = (src_tier.index(), dst_tier.index());
+        if s == d {
+            self.tiers[s].storage.copy_within(src_off, dst_off, len);
             return;
         }
-        std::thread::scope(|scope| {
-            for chunk in jobs.chunks(jobs.len().div_ceil(workers)) {
-                let bases = &bases;
-                scope.spawn(move || {
-                    for job in chunk {
-                        // SAFETY: see `copy_job`.
-                        unsafe { copy_job(bases, job) };
-                    }
-                });
-            }
-        });
+        let (src, dst) = if s < d {
+            let (lo, hi) = self.tiers.split_at_mut(d);
+            (&lo[s], &mut hi[0])
+        } else {
+            let (lo, hi) = self.tiers.split_at_mut(s);
+            (&hi[0], &mut lo[d])
+        };
+        dst.storage
+            .slice_mut(dst_off, len)
+            .copy_from_slice(src.storage.slice(src_off, len));
     }
 
     /// Splits any mapping that straddles a boundary of `range`, so that
@@ -1334,10 +1352,6 @@ impl Machine {
         }
         self.mappings.flush_cache();
         self.core.map_memo = None;
-    }
-
-    pub(crate) fn tier_mut(&mut self, tier: TierId) -> &mut Tier {
-        &mut self.tiers[tier.index()]
     }
 
     pub(crate) fn tier_ref(&self, tier: TierId) -> &Tier {
@@ -1827,29 +1841,6 @@ fn jobs_disjoint_dst(jobs: &[CopyJob]) -> bool {
     ranges
         .windows(2)
         .all(|w| w[0].0 != w[1].0 || w[0].2 <= w[1].1)
-}
-
-/// A raw pointer that may cross threads. Safe because all concurrent uses
-/// in `execute_copies` touch provably disjoint byte ranges.
-#[derive(Clone, Copy)]
-struct SendPtr(*mut u8);
-unsafe impl Send for SendPtr {}
-unsafe impl Sync for SendPtr {}
-
-/// Executes one copy job.
-///
-/// # Safety
-///
-/// `bases[i].0` must point to the live storage of tier `i`, the job's
-/// source and destination ranges must be in bounds, and no other thread may
-/// concurrently write any byte of the job's source or destination ranges.
-/// `execute_copies` guarantees this: destination ranges are pairwise
-/// disjoint (checked), staging frames are freshly allocated and thus
-/// never alias a source, and `&mut self` excludes all other machine access.
-unsafe fn copy_job(bases: &[SendPtr], job: &CopyJob) {
-    let src = bases[job.src_tier.index()].0.add(job.src_off) as *const u8;
-    let dst = bases[job.dst_tier.index()].0.add(job.dst_off);
-    std::ptr::copy_nonoverlapping(src, dst, job.len);
 }
 
 /// Plain little-endian scalar types storable in simulated memory.
@@ -2382,7 +2373,7 @@ mod tests {
         let _r = m.alloc(64 * 1024, Placement::Fast).unwrap();
         assert_clean(&mut m);
         // Grab frames behind the registry's back: a genuine leak.
-        m.tier_mut(TierId::FAST).frames.alloc_run(4).unwrap();
+        m.tiers[TierId::FAST.index()].frames.alloc_run(4).unwrap();
         let violations = m.audit();
         assert!(
             violations.iter().any(|v| v.contains("frame leak")),
@@ -2390,9 +2381,9 @@ mod tests {
         );
     }
 
-    /// Disjoint destinations are the safety precondition of the parallel
-    /// `copy_job` threads, so overlapping jobs panic before any byte moves,
-    /// in every profile (also run under `--release` by ci.sh).
+    /// Overlapping destinations would let a later job silently overwrite
+    /// an earlier one's bytes, so they panic before any byte moves, in
+    /// every profile (also run under `--release` by ci.sh).
     #[test]
     #[should_panic(expected = "copy destinations overlap")]
     fn overlapping_copy_destinations_are_rejected() {
@@ -2404,7 +2395,61 @@ mod tests {
             dst_off,
             len: PAGE_SIZE,
         };
-        m.execute_copies(&[job(0), job(PAGE_SIZE / 2)], 2);
+        m.execute_copies(&[job(0), job(PAGE_SIZE / 2)]);
+    }
+
+    /// A scalar that straddles a page boundary would be split across
+    /// frames: after page 1 of a slow-tier pair moves to the fast tier, a
+    /// `u64` written at page 0 + 4092 would put its high half into the
+    /// slow frame page 1 left, and the moved page would never see it.
+    /// Every scalar entry point rejects the access before any counter or
+    /// clock moves, in every profile (also run under `--release` by
+    /// ci.sh).
+    #[test]
+    fn page_straddling_scalar_access_is_rejected() {
+        let mut m = machine();
+        let r = m.alloc(2 * PAGE_SIZE, Placement::Slow).unwrap();
+        let page1 = VirtRange::new(r.start.add(PAGE_SIZE as u64), PAGE_SIZE);
+        m.migrate_mbind(page1, TierId::FAST).unwrap();
+        m.poke::<u32>(page1.start, 0x1122_3344).unwrap();
+        let va = r.start.add(PAGE_SIZE as u64 - 4);
+        let straddle = HmsError::InvalidRange { start: va, len: 8 };
+        let (accesses, now) = (m.stats().accesses, m.now());
+
+        assert_eq!(m.write::<u64>(va, u64::MAX), Err(straddle.clone()));
+        assert_eq!(m.read::<u64>(va), Err(straddle.clone()));
+        assert_eq!(
+            m.read_modify_write::<u64>(va, |x| x + 1),
+            Err(straddle.clone())
+        );
+        assert_eq!(m.poke::<u64>(va, u64::MAX), Err(straddle.clone()));
+        assert_eq!(m.peek::<u64>(va), Err(straddle.clone()));
+        let per_core = m.run_cores(2, |_, h| {
+            [
+                h.write::<u64>(va, u64::MAX).err(),
+                h.read::<u64>(va).err(),
+                h.read_modify_write::<u64>(va, |x| x + 1).err(),
+                h.poke::<u64>(va, u64::MAX).err(),
+                h.peek::<u64>(va).err(),
+            ]
+        });
+        for errors in per_core {
+            assert!(errors.iter().all(|e| e.as_ref() == Some(&straddle)));
+        }
+
+        assert_eq!(
+            m.stats().accesses,
+            accesses,
+            "a rejected access was counted"
+        );
+        // Only the two-core phase barrier may move the clock.
+        assert_eq!(
+            m.now().as_ns(),
+            now.as_ns() + m.platform().cost.barrier_cost(2).as_ns()
+        );
+        assert_eq!(m.peek::<u32>(page1.start).unwrap(), 0x1122_3344);
+        assert_eq!(m.peek::<u32>(va).unwrap(), 0);
+        assert_clean(&mut m);
     }
 
     #[test]

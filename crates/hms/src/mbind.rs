@@ -111,7 +111,13 @@ impl Machine {
                         return Err(e);
                     }
                 };
-                self.copy_page(src_tier, src_frame, dst_tier, dst_frame);
+                self.copy_bytes(
+                    src_tier,
+                    (src_frame as usize) << PAGE_SHIFT,
+                    dst_tier,
+                    (dst_frame as usize) << PAGE_SHIFT,
+                    PAGE_SIZE,
+                );
                 self.free_frames(src_tier, FrameRun::new(src_frame, 1));
                 new_maps.push(Mapping {
                     vpage_start: vpage,
@@ -159,33 +165,6 @@ impl Machine {
     ) {
         *mappings_after += new_maps.len();
         self.replace_mapping(old.vpage_start, new_maps);
-    }
-
-    /// Copies one 4 KiB page between frames (possibly across tiers),
-    /// without simulated-time accounting (the caller accounts it).
-    fn copy_page(&mut self, src_tier: TierId, src_frame: u32, dst_tier: TierId, dst_frame: u32) {
-        let src_off = (src_frame as usize) << PAGE_SHIFT;
-        let dst_off = (dst_frame as usize) << PAGE_SHIFT;
-        if src_tier == dst_tier {
-            let storage = &mut self.tier_mut(src_tier).storage;
-            let (a, b) = (src_off.min(dst_off), src_off.max(dst_off));
-            debug_assert!(a + PAGE_SIZE <= b, "page copy overlaps itself");
-            // Split to obtain two disjoint mutable views of one buffer.
-            let slice = storage.slice_mut(a, b - a + PAGE_SIZE);
-            let (first, second) = slice.split_at_mut(b - a);
-            if src_off < dst_off {
-                second[..PAGE_SIZE].copy_from_slice(&first[..PAGE_SIZE]);
-            } else {
-                first[..PAGE_SIZE].copy_from_slice(&second[..PAGE_SIZE]);
-            }
-        } else {
-            let mut page = [0u8; PAGE_SIZE];
-            page.copy_from_slice(self.tier_ref(src_tier).storage.slice(src_off, PAGE_SIZE));
-            self.tier_mut(dst_tier)
-                .storage
-                .slice_mut(dst_off, PAGE_SIZE)
-                .copy_from_slice(&page);
-        }
     }
 }
 

@@ -197,8 +197,18 @@ impl TierStorage {
         &mut self.bytes[offset..offset + len]
     }
 
-    /// Raw pointer to the storage base, for multi-threaded copies over
-    /// provably disjoint ranges (see `Machine::copy_frames_parallel`).
+    /// Copies `len` bytes from `src` to `dst` within this storage; the
+    /// ranges may overlap.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either range exceeds the capacity.
+    pub(crate) fn copy_within(&mut self, src: usize, dst: usize, len: usize) {
+        self.bytes.copy_within(src..src + len, dst);
+    }
+
+    /// Raw pointer to the storage base, for the per-core
+    /// [`TiersView`](crate::shard) handed to `Machine::run_cores` threads.
     pub(crate) fn base_ptr(&mut self) -> *mut u8 {
         self.bytes.as_mut_ptr()
     }

@@ -11,9 +11,10 @@
 //!    output arrays (hence checksums) are bit-identical for 1, 2 and 4
 //!    simulated cores. For the f64 kernels this is only true because the
 //!    sharded bodies fold contributions in global edge order.
-//! 3. **`par_cores == 1` is the scalar engine** — a context with one core
-//!    drives the identical code path as the pre-sharding engine: stats,
-//!    clock, PEBS stream and trace ring all match bit-for-bit.
+//! 3. **n = 1 runs on the resident core with no fork** — a context with
+//!    one core drives the machine's own core directly, with no fork, merge
+//!    or barrier: stats, clock, PEBS stream and trace ring match a default
+//!    context bit-for-bit.
 
 use atmem::{Atmem, AtmemConfig};
 use atmem_apps::{
@@ -127,7 +128,7 @@ fn traversal_outputs_are_core_count_invariant() {
 
 /// Element-wise (not just checksum) bit-identity of every traversal
 /// kernel's output arrays across core counts, with `par_cores == 1`
-/// (the scalar body) as the reference — the frontier partition must not
+/// (the resident core alone) as the reference — the frontier partition must not
 /// change a single distance, phase count or centrality bit.
 #[test]
 fn traversal_outputs_match_scalar_elementwise() {
@@ -255,8 +256,8 @@ fn sharded_protocol_is_deterministic_across_runs() {
 #[test]
 fn one_core_context_is_bit_identical_to_the_scalar_engine() {
     let csr = skewed_graph();
-    // Two identical runtimes; one drives the kernel through the historical
-    // scalar context, the other through `with_cores(1)`. PEBS sampling and
+    // Two identical runtimes; one drives the kernel through a default
+    // context, the other through `with_cores(1)`. PEBS sampling and
     // tracing are both on so the comparison covers every per-core stream.
     let run = |cores: Option<usize>| {
         let mut rt = runtime();

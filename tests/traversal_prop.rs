@@ -1,7 +1,8 @@
 //! Property tests for the frontier-sharded traversal kernels.
 //!
-//! The frontier partition must not change a single output bit on *any*
-//! graph, so these properties throw the awkward cases at it: self-loops
+//! Every core count must reproduce the host reference traversal bit for
+//! bit on *any* graph, so these properties throw the awkward cases at the
+//! frontier partition: self-loops
 //! (kept, not stripped), duplicate edges, vertices unreachable from the
 //! source, degree-zero sources, and far more cores than frontier
 //! vertices (every traversal starts from a one-vertex frontier, so eight
@@ -9,10 +10,16 @@
 //! the core count throughout).
 
 use atmem::{Atmem, AtmemConfig};
+use atmem_apps::bfs::{reference_bfs, UNREACHED};
+use atmem_apps::sssp::reference_sssp;
 use atmem_apps::{Bfs, HmsGraph, Kernel, MemCtx, Sssp};
 use atmem_graph::{Csr, GraphBuilder, SelfLoops};
 use atmem_hms::Platform;
 use atmem_prop::prelude::*;
+
+/// Core counts every property runs at: one core, and partitions that are
+/// uneven, odd, and wider than most frontiers.
+const CORES: [usize; 4] = [1, 2, 3, 8];
 
 fn runtime() -> Atmem {
     Atmem::new(Platform::testing(), AtmemConfig::default()).unwrap()
@@ -54,30 +61,32 @@ fn sssp_at(csr: &Csr, source: u32, cores: usize) -> Vec<u32> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Sharded BFS distances and reach counts are bit-identical to the
-    /// scalar body for every core count, on graphs with self-loops,
+    /// BFS distances and reach counts equal the host reference
+    /// [`reference_bfs`] for every core count, on graphs with self-loops,
     /// duplicate edges and unreachable components.
     #[test]
-    fn sharded_bfs_matches_scalar(
+    fn bfs_matches_reference_at_every_core_count(
         n in 1usize..48,
         edges in prop::collection::vec((0u32..48, 0u32..48), 0..160),
         source in 0u32..48,
     ) {
         let csr = build_graph(n, edges);
         let source = source % n as u32;
-        let scalar = bfs_at(&csr, source, 1);
-        for cores in [2usize, 3, 8] {
-            let sharded = bfs_at(&csr, source, cores);
-            prop_assert_eq!(&scalar.0, &sharded.0, "distances diverge at {} cores", cores);
-            prop_assert_eq!(scalar.1, sharded.1, "reach count diverges at {} cores", cores);
+        let expected = reference_bfs(&csr, source);
+        let reach = expected.iter().filter(|&&d| d != UNREACHED).count();
+        for cores in CORES {
+            let (dist, reached) = bfs_at(&csr, source, cores);
+            prop_assert_eq!(&expected, &dist, "distances diverge at {} cores", cores);
+            prop_assert_eq!(reach, reached, "reach count diverges at {} cores", cores);
         }
     }
 
-    /// Sharded SSSP converges to bit-identical f32 distances: the scalar
-    /// in-level (Gauss-Seidel) and sharded level-snapshot (Jacobi)
-    /// schedules descend to the same least fixed point.
+    /// SSSP converges to the f32 distances of the Dijkstra reference
+    /// [`reference_sssp`], bit for bit, for every core count: the
+    /// level-snapshot (Jacobi) schedule descends to the same least fixed
+    /// point.
     #[test]
-    fn sharded_sssp_matches_scalar(
+    fn sssp_matches_reference_at_every_core_count(
         n in 1usize..40,
         edges in prop::collection::vec((0u32..40, 0u32..40), 0..120),
         source in 0u32..40,
@@ -85,10 +94,13 @@ proptest! {
     ) {
         let csr = build_graph(n, edges).with_random_weights(16.0, weight_seed);
         let source = source % n as u32;
-        let scalar = sssp_at(&csr, source, 1);
-        for cores in [2usize, 3, 8] {
-            let sharded = sssp_at(&csr, source, cores);
-            prop_assert_eq!(&scalar, &sharded, "distances diverge at {} cores", cores);
+        let expected: Vec<u32> = reference_sssp(&csr, source)
+            .into_iter()
+            .map(f32::to_bits)
+            .collect();
+        for cores in CORES {
+            let dist = sssp_at(&csr, source, cores);
+            prop_assert_eq!(&expected, &dist, "distances diverge at {} cores", cores);
         }
     }
 }
