@@ -22,22 +22,33 @@ cargo build --release
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (bounds, copy, page and clock guards stay hard checks)"
-# These guards are plain checks, not debug_assert!: they must fire in
+echo "==> release-mode soundness (every hms and core test under --release)"
+# The guards below are plain checks, not debug_assert!: they must fire in
 # optimized builds too. Without them an out-of-range window or element
 # index silently aliases another element, an overlapping copy job silently
 # overwrites bytes an earlier job placed, a page-straddling scalar splits
 # across frames, a tier index past the tier count dereferences a null
-# storage pointer, and a NaN duration poisons the simulated clock. Run the
-# regression tests under --release so a future debug_assert! demotion
-# fails CI instead of shipping.
-cargo test -q --release -p atmem-hms window_bounds_check_is_a_hard_check
-cargo test -q --release -p atmem-hms windows_beyond_u32_index_range_are_rejected
-cargo test -q --release -p atmem-hms element_bounds_check_is_a_hard_check
-cargo test -q --release -p atmem-hms overlapping_copy_destinations_are_rejected
-cargo test -q --release -p atmem-hms nan_durations_are_rejected
-cargo test -q --release -p atmem-hms page_straddling_scalar_access_is_rejected
-cargo test -q --release -p atmem-hms tiers_view_rejects_tiers_past_the_count
+# storage pointer, a NaN duration poisons the simulated clock, an
+# overlapping mapping insert shadows a live mapping, an empty TLB/LLC run
+# charges a phantom access, a VirtAddr distance wraps, and an offset past
+# an object yields a chunk index that does not exist. Running the whole
+# atmem-hms and atmem (core) suites under --release is a superset of the
+# per-guard regression tests (window_bounds_check_is_a_hard_check,
+# windows_beyond_u32_index_range_are_rejected,
+# element_bounds_check_is_a_hard_check,
+# overlapping_copy_destinations_are_rejected, nan_durations_are_rejected,
+# page_straddling_scalar_access_is_rejected,
+# tiers_view_rejects_tiers_past_the_count, overlapping_insert_is_rejected,
+# enclosing_insert_is_rejected, the three empty_*_run_is_rejected tests,
+# offset_from_underflow_is_rejected, offsets_past_the_object_are_rejected),
+# so a future debug_assert! demotion fails CI instead of shipping.
+cargo test -q --release -p atmem-hms -p atmem
+
+echo "==> benchmark build + tests (perfbench/ is its own workspace)"
+# perfbench builds against the crates by path but is not part of the root
+# workspace, so nothing above compiles it. Building and testing it here
+# makes an API change that breaks the benchmark fail CI.
+cargo test -q --release --offline --manifest-path perfbench/Cargo.toml
 
 echo "==> fault-injection smoke (set ATMEM_PROP_CASES to widen the sweep)"
 # Quick pass over the fault-injection property harness: a handful of

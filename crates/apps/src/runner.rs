@@ -68,6 +68,9 @@ pub struct ProtocolResult {
     pub round_ratios: Vec<f64>,
     /// Machine counter deltas over iteration 2 (TLB misses for Table 4).
     pub second_iter_stats: MachineStats,
+    /// Bytes allocated on every tier, hottest first, right after
+    /// iteration 2.
+    pub bytes_used_by_tier: Vec<u64>,
     /// Fraction of registered data on the fast tier during iteration 2.
     pub data_ratio: f64,
     /// Kernel output checksum, for cross-mode correctness checks.
@@ -227,6 +230,7 @@ pub fn run_protocol_rounds(
     kernel.run_iteration(&mut MemCtx::bulk(rt.machine_mut()).with_cores(par_cores));
     let second_iter = SimDuration::from_ns(rt.now().as_ns() - t1.as_ns());
     let second_iter_stats = rt.machine().stats().delta(&before);
+    let bytes_used_by_tier = rt.machine().bytes_used_by_tier();
     let data_ratio = rt.fast_data_ratio();
     let checksum = kernel.checksum(&mut rt);
     let audit = rt.machine_mut().audit();
@@ -237,6 +241,7 @@ pub fn run_protocol_rounds(
         optimize,
         round_ratios,
         second_iter_stats,
+        bytes_used_by_tier,
         data_ratio,
         checksum,
         audit,

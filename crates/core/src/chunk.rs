@@ -45,11 +45,12 @@ impl ChunkGeometry {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the offset is beyond the object.
+    /// Panics if the offset is beyond the object, in every profile: the
+    /// index would silently charge a sample to a chunk that does not exist.
     #[inline]
     pub fn chunk_of(&self, offset: usize) -> usize {
         let idx = offset / self.chunk_bytes;
-        debug_assert!(idx < self.num_chunks, "offset beyond object");
+        assert!(idx < self.num_chunks, "offset beyond object");
         idx
     }
 
@@ -114,6 +115,15 @@ mod tests {
         // Last chunk is truncated to the object size.
         let (_, e) = g.chunk_span(g.num_chunks - 1, bytes);
         assert_eq!(e, bytes);
+    }
+
+    /// The bounds guard is a hard check: a release build used to return a
+    /// chunk index past the object.
+    #[test]
+    #[should_panic(expected = "offset beyond object")]
+    fn offsets_past_the_object_are_rejected() {
+        let g = chunk_geometry(4 * 4096, &cfg(4, 4096));
+        g.chunk_of(4 * 4096);
     }
 
     #[test]

@@ -74,9 +74,10 @@ impl VirtAddr {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `other > self`.
+    /// Panics if `other > self`, in every profile: a release build would
+    /// otherwise wrap to a huge distance.
     pub fn offset_from(self, other: VirtAddr) -> u64 {
-        debug_assert!(other.0 <= self.0, "offset_from would underflow");
+        assert!(other.0 <= self.0, "offset_from would underflow");
         self.0 - other.0
     }
 }
@@ -233,6 +234,14 @@ mod tests {
         assert_eq!(va.page_index(), 0x2000_1234u64 >> 12);
         assert_eq!(va.page_offset(), 0x234);
         assert_eq!(va.line_aligned().raw(), 0x2000_1200);
+    }
+
+    /// The underflow guard is a hard check: a release build used to wrap
+    /// to a distance of nearly 2^64 bytes.
+    #[test]
+    #[should_panic(expected = "offset_from would underflow")]
+    fn offset_from_underflow_is_rejected() {
+        VirtAddr::new(0x1000).offset_from(VirtAddr::new(0x2000));
     }
 
     #[test]

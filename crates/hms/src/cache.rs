@@ -7,10 +7,6 @@
 
 use crate::addr::PhysAddr;
 
-/// Slots in the window side-memo (see [`Cache::window_access_slot`]). A
-/// power of two so the memo index is the set index's low bits.
-const MEMO_SLOTS: usize = 64;
-
 /// Geometry of the cache.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CacheConfig {
@@ -67,22 +63,6 @@ impl CacheOutcome {
 }
 
 /// Set-associative write-allocate LLC with per-set LRU replacement.
-///
-/// ## The window side-memo
-///
-/// Mirrors the TLB's deferred-re-stamp memo (see [`crate::tlb::Tlb`]): the
-/// batched window engine revisits a small set of hot lines, and for those
-/// the full per-set tag scan only serves to re-stamp an age that is already
-/// known. The memo is a tiny direct-mapped cache, indexed by the low bits
-/// of the *set* index, remembering the line that last probed through each
-/// memo slot. A memo hit bumps the tick and the hit counter eagerly and
-/// defers the LRU age re-stamp into the memo; deferral is sound because
-/// ages are only ever *read* by the victim scan, every deferred stamp for a
-/// set necessarily lives in that set's (unique) memo slot, and every real
-/// probe applies the aliasing slot's deferred stamp before scanning. All
-/// non-window operations flush the whole memo first, so hit/miss outcomes,
-/// counters and every future eviction are bit-identical to eager
-/// re-stamping.
 #[derive(Debug)]
 pub struct Cache {
     config: CacheConfig,
@@ -97,14 +77,6 @@ pub struct Cache {
     read_misses: u64,
     write_hits: u64,
     write_misses: u64,
-    /// Line id occupying each window-memo slot.
-    memo_line: [u64; MEMO_SLOTS],
-    /// Cache slot (`set * assoc + way`) that line sits in.
-    memo_slot: [u32; MEMO_SLOTS],
-    /// The line's deferred LRU age stamp.
-    memo_tick: [u64; MEMO_SLOTS],
-    /// Occupancy bitmap of the memo slots.
-    memo_occ: u64,
 }
 
 impl Cache {
@@ -122,23 +94,6 @@ impl Cache {
             read_misses: 0,
             write_hits: 0,
             write_misses: 0,
-            memo_line: [0; MEMO_SLOTS],
-            memo_slot: [0; MEMO_SLOTS],
-            memo_tick: [0; MEMO_SLOTS],
-            memo_occ: 0,
-        }
-    }
-
-    /// Applies every deferred LRU re-stamp and empties the memo. Must run
-    /// before any age read (the victim scan) outside the window path and
-    /// before any non-window mutation of replacement state.
-    fn memo_flush(&mut self) {
-        let mut occ = self.memo_occ;
-        self.memo_occ = 0;
-        while occ != 0 {
-            let s = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            self.ages[self.memo_slot[s] as usize] = self.memo_tick[s];
         }
     }
 
@@ -156,9 +111,6 @@ impl Cache {
     /// (`set * assoc + way`) the line occupies afterwards, so follow-up
     /// touches of the same line can skip the tag scan.
     pub(crate) fn access_slot(&mut self, pa: PhysAddr, write: bool) -> (CacheOutcome, usize) {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
         self.tick += 1;
         let line_id = pa.raw() >> self.line_shift;
         let set = (line_id & self.set_mask) as usize;
@@ -199,9 +151,6 @@ impl Cache {
     /// identical counter and LRU effects to another `access` of the same
     /// line, without the tag scan.
     pub(crate) fn rehit(&mut self, slot: usize, write: bool) {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
         self.tick += 1;
         if write {
             self.write_hits += 1;
@@ -215,138 +164,19 @@ impl Cache {
     /// `slot` as one batch: counters, tick and the line's age end exactly as
     /// that many interleaved [`rehit`](Cache::rehit) calls would leave them
     /// (the interleaving order does not matter — every touch restamps the
-    /// same slot). Used by the window engine to flush deferred same-line
+    /// same slot). Used by the window engine to settle deferred same-line
     /// accesses before the next real probe.
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `reads + writes` is zero.
-    // Retained as the scalar-exact reference for the window settle path; the
-    // engine itself now settles through the window memo, so production code
-    // no longer calls this outside the equivalence tests.
-    #[cfg_attr(not(test), allow(dead_code))]
+    /// Panics if `reads + writes` is zero, in every profile: an empty run
+    /// would still advance the tick and re-stamp the line's age.
     pub(crate) fn rehit_run(&mut self, slot: usize, reads: u64, writes: u64) {
-        debug_assert!(reads + writes > 0, "empty rehit run");
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
+        assert!(reads + writes > 0, "empty rehit run");
         self.tick += reads + writes;
         self.read_hits += reads;
         self.write_hits += writes;
         self.ages[slot] = self.tick;
-    }
-
-    /// Batched window probe: like [`access_slot`](Cache::access_slot) but
-    /// through the window side-memo, so a line probed recently on the window
-    /// path skips the per-set tag scan entirely and has its LRU re-stamp
-    /// deferred. Hit/miss outcomes, counters and all future evictions are
-    /// identical to a scalar [`access`](Cache::access) of the same line.
-    ///
-    /// Only the batched window engine may use this: correctness relies on
-    /// every interleaved non-window operation flushing the memo first,
-    /// which [`access`]/[`access_slot`]/[`rehit`]/[`rehit_run`]/
-    /// [`access_run`] all do.
-    ///
-    /// [`access`]: Cache::access
-    /// [`access_slot`]: Cache::access_slot
-    /// [`rehit`]: Cache::rehit
-    /// [`rehit_run`]: Cache::rehit_run
-    /// [`access_run`]: Cache::access_run
-    pub(crate) fn window_access_slot(
-        &mut self,
-        pa: PhysAddr,
-        write: bool,
-    ) -> (CacheOutcome, usize) {
-        self.tick += 1;
-        let line_id = pa.raw() >> self.line_shift;
-        let set = (line_id & self.set_mask) as usize;
-        let s = set & (MEMO_SLOTS - 1);
-        let bit = 1u64 << s;
-        if self.memo_occ & bit != 0 && self.memo_line[s] == line_id {
-            // Memo hit: the line is guaranteed resident (nothing can have
-            // evicted it since its probe without flushing this slot first),
-            // so the scalar probe would hit. Counters advance eagerly; the
-            // LRU age re-stamp stays deferred in the memo.
-            if write {
-                self.write_hits += 1;
-            } else {
-                self.read_hits += 1;
-            }
-            self.memo_tick[s] = self.tick;
-            return (CacheOutcome::Hit, self.memo_slot[s] as usize);
-        }
-        // Real probe. Any deferred re-stamp for this set lives in this memo
-        // slot (sets map to memo slots many-to-one, but a set always maps to
-        // the same slot), so applying the aliasing occupant's stamp first
-        // makes the victim scan read exactly the ages the scalar loop would
-        // have written.
-        if self.memo_occ & bit != 0 {
-            self.ages[self.memo_slot[s] as usize] = self.memo_tick[s];
-        }
-        let tag = line_id >> self.set_mask.count_ones();
-        let base = set * self.config.assoc;
-        let ways = &self.tags[base..base + self.config.assoc];
-        let mut found = None;
-        let mut victim = 0usize;
-        let mut victim_age = u64::MAX;
-        for (w, &t) in ways.iter().enumerate() {
-            if t == tag {
-                found = Some(base + w);
-                break;
-            }
-            let age = self.ages[base + w];
-            if age < victim_age {
-                victim_age = age;
-                victim = w;
-            }
-        }
-        let (outcome, slot) = match found {
-            Some(slot) => {
-                self.ages[slot] = self.tick;
-                if write {
-                    self.write_hits += 1;
-                } else {
-                    self.read_hits += 1;
-                }
-                (CacheOutcome::Hit, slot)
-            }
-            None => {
-                let slot = base + victim;
-                self.tags[slot] = tag;
-                self.ages[slot] = self.tick;
-                if write {
-                    self.write_misses += 1;
-                } else {
-                    self.read_misses += 1;
-                }
-                (CacheOutcome::Miss, slot)
-            }
-        };
-        self.memo_line[s] = line_id;
-        self.memo_slot[s] = slot as u32;
-        self.memo_tick[s] = self.tick;
-        self.memo_occ |= bit;
-        (outcome, slot)
-    }
-
-    /// Settles `reads + writes` deferred guaranteed-hit touches of the line
-    /// in `slot` accumulated by the window engine's line-run coalescing.
-    /// The line was probed via [`window_access_slot`]
-    /// (Cache::window_access_slot) when the run opened and no other cache
-    /// operation has intervened, so it is still in the memo; the fallback
-    /// is defensive.
-    pub(crate) fn window_settle(&mut self, slot: usize, reads: u64, writes: u64) {
-        debug_assert!(reads + writes > 0, "empty window settle");
-        self.tick += reads + writes;
-        self.read_hits += reads;
-        self.write_hits += writes;
-        let s = (slot / self.config.assoc) & (MEMO_SLOTS - 1);
-        if self.memo_occ & (1 << s) != 0 && self.memo_slot[s] as usize == slot {
-            self.memo_tick[s] = self.tick;
-        } else {
-            debug_assert!(false, "settled slot lost from the window memo");
-            self.ages[slot] = self.tick;
-        }
     }
 
     /// Adds another cache's hit/miss counters into this one (deterministic
@@ -367,9 +197,10 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `count` is zero.
+    /// Panics if `count` is zero, in every profile: an empty run would
+    /// still charge one access.
     pub fn access_run(&mut self, pa: PhysAddr, write: bool, count: usize) -> CacheOutcome {
-        debug_assert!(count > 0, "empty cache run");
+        assert!(count > 0, "empty cache run");
         let (outcome, slot) = self.access_slot(pa, write);
         if count > 1 {
             let extra = (count - 1) as u64;
@@ -385,9 +216,7 @@ impl Cache {
     }
 
     /// Drops every line (used when a machine resets between experiments).
-    /// Deferred window re-stamps are discarded with the ages they targeted.
     pub fn flush(&mut self) {
-        self.memo_occ = 0;
         self.tags.fill(u64::MAX);
         self.ages.fill(0);
     }
@@ -397,9 +226,6 @@ impl Cache {
     /// ways become immediate eviction victims (tag empty, age zero);
     /// counters are untouched.
     pub fn invalidate_where(&mut self, mut pred: impl FnMut(u64) -> bool) {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
         let set_bits = self.set_mask.count_ones();
         for (slot, tag) in self.tags.iter_mut().enumerate() {
             if *tag == u64::MAX {
@@ -416,11 +242,8 @@ impl Cache {
 
     /// The line id of every resident line, in unspecified order. Used by the
     /// machine invariant auditor to check that no line references a freed
-    /// frame. Flushes the window memo first so audits see settled state.
-    pub fn live_lines(&mut self) -> Vec<u64> {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
+    /// frame.
+    pub fn live_lines(&self) -> Vec<u64> {
         let set_bits = self.set_mask.count_ones();
         self.tags
             .iter()
@@ -599,72 +422,20 @@ mod tests {
         }
     }
 
+    /// The zero-count guards are hard checks: a release build must not
+    /// charge an access, or re-stamp a line, for an empty run.
     #[test]
-    fn window_api_matches_the_per_element_loop() {
-        let mut windowed = small();
-        let mut looped = small();
-        // Window probes (memo path) interleaved with scalar accesses and
-        // settles, with enough same-set lines (stride 256) to force
-        // evictions while re-stamps are still deferred. Sets 0 and 1 both
-        // appear, and lines 0x000/0x100 share set 0 so its memo slot keeps
-        // getting re-probed.
-        let script: &[(u64, bool, u64, u64, bool)] = &[
-            // (addr, write, settle_reads, settle_writes, window)
-            (0x000, false, 3, 0, true), // miss, fills; then settle 3 reads
-            (0x040, false, 0, 0, true), // set 1: miss
-            (0x000, false, 0, 2, true), // memo hit; settle 2 writes
-            (0x100, false, 0, 0, true), // set 0 again: flushes 0x000's stamp
-            (0x000, true, 1, 1, true),  // real probe (memo now 0x100), hit
-            (0x200, false, 0, 0, true), // set 0 full: eviction under memo
-            (0x040, false, 0, 0, false), // scalar access: flushes the memo
-            (0x100, false, 4, 0, true),
-            (0x300, false, 0, 0, true), // eviction again
-            (0x000, false, 0, 0, true),
-        ];
-        for &(addr, write, sr, sw, window) in script {
-            let pa = PhysAddr::new(addr);
-            if window {
-                let (ow, slot) = windowed.window_access_slot(pa, write);
-                let (ol, sl) = looped.access_slot(pa, write);
-                assert_eq!(ow, ol, "outcome at {addr:#x}");
-                if sr + sw > 0 {
-                    windowed.window_settle(slot, sr, sw);
-                    looped.rehit_run(sl, sr, sw);
-                }
-            } else {
-                assert_eq!(windowed.access(pa, write), looped.access(pa, write));
-            }
-            assert_eq!(windowed.read_hits(), looped.read_hits());
-            assert_eq!(windowed.write_hits(), looped.write_hits());
-            assert_eq!(windowed.read_misses(), looped.read_misses());
-            assert_eq!(windowed.write_misses(), looped.write_misses());
-        }
-        // Replacement state is identical: the same victims are chosen.
-        for addr in (0..0x800u64).step_by(0x100) {
-            assert_eq!(
-                windowed.access(PhysAddr::new(addr), false),
-                looped.access(PhysAddr::new(addr), false),
-                "probe of {addr:#x}"
-            );
-        }
+    #[should_panic(expected = "empty cache run")]
+    fn empty_access_run_is_rejected() {
+        small().access_run(PhysAddr::new(0x40), false, 0);
     }
 
     #[test]
-    fn deferred_restamps_reach_the_victim_scan() {
-        // 4 sets x 2 ways: lines 0x000, 0x100, 0x200 all map to set 0.
+    #[should_panic(expected = "empty rehit run")]
+    fn empty_rehit_run_is_rejected() {
         let mut c = small();
-        let (o, _) = c.window_access_slot(PhysAddr::new(0x000), false);
-        assert_eq!(o, CacheOutcome::Miss); // age 1
-        let (o, _) = c.window_access_slot(PhysAddr::new(0x100), false);
-        assert_eq!(o, CacheOutcome::Miss); // age 2
-        let (o, slot) = c.window_access_slot(PhysAddr::new(0x000), false);
-        assert_eq!(o, CacheOutcome::Hit);
-        c.window_settle(slot, 3, 0); // 0x000 re-stamped to 6, deferred
-                                     // Without the flush-before-scan the victim scan would see 0x000's
-                                     // stale age and evict it; the deferred re-stamp makes 0x100 LRU.
-        assert_eq!(c.access(PhysAddr::new(0x200), false), CacheOutcome::Miss);
-        assert_eq!(c.access(PhysAddr::new(0x000), false), CacheOutcome::Hit);
-        assert_eq!(c.access(PhysAddr::new(0x100), false), CacheOutcome::Miss);
+        let (_, slot) = c.access_slot(PhysAddr::new(0x40), false);
+        c.rehit_run(slot, 0, 0);
     }
 
     #[test]

@@ -395,9 +395,7 @@ impl Machine {
         TierId::new(self.tiers.len() - 1)
     }
 
-    /// Bytes used (allocated frames) on every tier, hottest first. The
-    /// per-tier generalization of the `fast_bytes_used`/`slow_bytes_used`
-    /// gauges in [`MachineStats`].
+    /// Bytes used (allocated frames) on every tier, hottest first.
     pub fn bytes_used_by_tier(&self) -> Vec<u64> {
         self.tiers
             .iter()
@@ -671,7 +669,6 @@ impl Machine {
             self.unmap_one(m);
         }
         self.invalidate_tlb_range(full);
-        self.mappings.flush_cache();
         self.core.map_memo = None;
         Ok(())
     }
@@ -905,7 +902,7 @@ impl Machine {
     /// boundary (nothing is charged).
     pub fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
         check_within_page(va, T::SIZE)?;
-        let mapping = self.mappings.lookup(va)?;
+        let mapping = self.core.lookup(&self.mappings, va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self.tiers[frame.tier.index()]
             .storage
@@ -922,7 +919,7 @@ impl Machine {
     /// boundary (nothing is charged).
     pub fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
         check_within_page(va, T::SIZE)?;
-        let mapping = self.mappings.lookup(va)?;
+        let mapping = self.core.lookup(&self.mappings, va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self.tiers[frame.tier.index()]
             .storage
@@ -946,7 +943,7 @@ impl Machine {
     ///
     /// [`HmsError::Unmapped`] if `va` is not mapped.
     pub fn tier_of(&mut self, va: VirtAddr) -> Result<TierId> {
-        Ok(self.mappings.lookup(va)?.tier)
+        Ok(self.core.lookup(&self.mappings, va)?.tier)
     }
 
     /// Bytes of `range` currently resident on `tier`.
@@ -1261,7 +1258,6 @@ impl Machine {
                 // Stale huge-unit TLB entries must not survive the demotion.
                 self.invalidate_tlb_range(m.vrange());
             }
-            self.mappings.flush_cache();
             self.core.map_memo = None;
         }
     }
@@ -1319,7 +1315,6 @@ impl Machine {
                     self.mappings.insert(m);
                 }
                 self.invalidate_tlb_range(range);
-                self.mappings.flush_cache();
                 self.core.map_memo = None;
                 Ok(n)
             }
@@ -1350,7 +1345,6 @@ impl Machine {
             self.note_mapped(m.vrange(), m.tier);
             self.mappings.insert(m);
         }
-        self.mappings.flush_cache();
         self.core.map_memo = None;
     }
 
@@ -1452,18 +1446,12 @@ impl Machine {
             llc_write_misses: self.core.llc.write_misses(),
             tlb_hits: self.core.tlb.hits(),
             tlb_misses: self.core.tlb.misses(),
-            // The two gauges project the tier set onto its extremes: the
-            // hottest tier and the coldest. On a two-tier machine that is
-            // every tier; [`Machine::bytes_used_by_tier`] has the rest.
-            fast_bytes_used: (self.tiers[0].frames.used_frames() * PAGE_SIZE) as u64,
-            slow_bytes_used: (self.tiers[self.tiers.len() - 1].frames.used_frames() * PAGE_SIZE)
-                as u64,
             bytes_migrated: self.core.counters.bytes_migrated,
         }
     }
 
     /// Flushes the LLC and TLB (cold restart between experiment phases).
-    pub fn flush_caches(&mut self) {
+    pub fn flush_tlb_and_llc(&mut self) {
         self.core.llc.flush();
         self.core.tlb.flush();
     }
@@ -1495,8 +1483,8 @@ impl Machine {
     /// 8. the incremental residency cache (per-allocation and per-tag
     ///    resident-byte counters) matches a full mapping rescan.
     ///
-    /// Needs `&mut self` only to settle the LLC window memo and to store
-    /// the counter snapshot for the next monotonicity check.
+    /// Needs `&mut self` only to store the counter snapshot for the next
+    /// monotonicity check.
     pub fn audit(&mut self) -> Vec<String> {
         let mut violations: Vec<String> = Vec::new();
         let coalesce = self.platform.tlb_coalesce.max(1) as u64;
@@ -1938,7 +1926,7 @@ mod tests {
             .unwrap_err();
         assert!(matches!(err, HmsError::OutOfMemory { .. }));
         // Rollback: nothing leaked.
-        assert_eq!(m.stats().fast_bytes_used, 0);
+        assert_eq!(m.bytes_used_by_tier()[TierId::FAST.index()], 0);
     }
 
     #[test]
@@ -2340,6 +2328,60 @@ mod tests {
         m.migrate_mbind(r, TierId::FAST).unwrap();
         assert_eq!(m.resident_bytes_by_tag(3, TierId::FAST), 64 * 1024);
         assert_eq!(m.resident_bytes_by_tag(3, TierId::SLOW), 0);
+        assert_clean(&mut m);
+    }
+
+    /// Writes `value` at `va` through the mapping table alone, bypassing
+    /// the core's memo, so a read through a stale memo sees other bytes.
+    fn poke_through_table(m: &mut Machine, va: VirtAddr, value: u64) {
+        let (frame, offset) = m.mappings.lookup(va).unwrap().translate(va);
+        let bytes = m.tiers[frame.tier.index()]
+            .storage
+            .slice_mut(frame.byte_offset() + offset, 8);
+        value.write_le_slice(bytes);
+    }
+
+    /// The resident core's `map_memo` is the machine's only mapping memo,
+    /// so every mapping-table mutation must reset it. Each step warms the
+    /// memo on the mapping about to change and mutates whole mappings only,
+    /// so `split_mappings_at` splits (and resets) nothing; the reset under
+    /// test is the mutation's own.
+    #[test]
+    fn resident_memo_never_serves_a_stale_mapping() {
+        let mut m = machine();
+        let r = m.alloc(64 * 1024, Placement::Slow).unwrap();
+        let va = r.start.add(8 * PAGE_SIZE as u64 + 64);
+        let warm = |m: &mut Machine| {
+            m.peek::<u64>(va).unwrap();
+            m.read::<u64>(va).unwrap();
+        };
+        let sees = |m: &mut Machine, tier: TierId, marker: u64| {
+            assert_eq!(m.tier_of(va).unwrap(), tier);
+            assert_eq!(m.peek::<u64>(va).unwrap(), marker);
+            assert_eq!(m.read::<u64>(va).unwrap(), marker);
+        };
+        let tiling: Vec<VirtRange> = m.mappings_in(r).iter().map(Mapping::vrange).collect();
+        assert_eq!(tiling, vec![r], "the allocation must be one whole mapping");
+
+        // remap_region of the whole mapping.
+        poke_through_table(&mut m, va, 1);
+        warm(&mut m);
+        m.remap_region(r, TierId::FAST).unwrap();
+        poke_through_table(&mut m, va, 2);
+        sees(&mut m, TierId::FAST, 2);
+
+        // mbind's replace_mapping, splintering the whole range.
+        warm(&mut m);
+        m.migrate_mbind(r, TierId::SLOW).unwrap();
+        poke_through_table(&mut m, va, 3);
+        sees(&mut m, TierId::SLOW, 3);
+
+        // free.
+        warm(&mut m);
+        m.free(r).unwrap();
+        assert!(matches!(m.peek::<u64>(va), Err(HmsError::Unmapped(_))));
+        assert!(matches!(m.tier_of(va), Err(HmsError::Unmapped(_))));
+        assert!(matches!(m.read::<u64>(va), Err(HmsError::Unmapped(_))));
         assert_clean(&mut m);
     }
 

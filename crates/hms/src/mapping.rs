@@ -130,14 +130,12 @@ impl Mapping {
 
 /// The machine-wide mapping table.
 ///
-/// Keyed by first virtual page; mappings never overlap. A one-entry lookup
-/// cache accelerates the hot translation path (graph kernels touch the same
-/// object repeatedly).
+/// Keyed by first virtual page; mappings never overlap. The table keeps no
+/// lookup cache: the hot translation path memoizes through its core's
+/// one-entry memo instead (see [`CoreCtx`](crate::shard::CoreCtx)).
 #[derive(Debug, Default)]
 pub struct MappingTable {
     map: BTreeMap<u64, Mapping>,
-    /// Last successfully used mapping (by start page), checked first.
-    cache: Option<Mapping>,
 }
 
 impl MappingTable {
@@ -160,26 +158,28 @@ impl MappingTable {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if the mapping overlaps an existing one.
+    /// Panics in every profile if the mapping overlaps an existing one:
+    /// an overlapping insert would silently replace a mapping that starts
+    /// at the same page, or shadow the pages of one that covers them, and
+    /// leak its frames.
     pub fn insert(&mut self, m: Mapping) {
-        debug_assert!(
-            self.lookup_page(m.vpage_start).is_none()
-                && self
-                    .lookup_page(m.vpage_start + m.pages as u64 - 1)
-                    .is_none(),
-            "overlapping mapping inserted"
+        // The last mapping starting before `m` ends must end by `m`'s start.
+        let end = m.vpage_start + m.pages as u64;
+        let clear = self
+            .map
+            .range(..end)
+            .next_back()
+            .is_none_or(|(_, prev)| prev.vpage_start + prev.pages as u64 <= m.vpage_start);
+        assert!(
+            clear,
+            "overlapping mapping inserted at vpage {:#x}",
+            m.vpage_start
         );
         self.map.insert(m.vpage_start, m);
-        self.cache = Some(m);
     }
 
     /// Removes and returns the mapping starting exactly at `vpage_start`.
     pub fn remove(&mut self, vpage_start: u64) -> Option<Mapping> {
-        if let Some(c) = self.cache {
-            if c.vpage_start == vpage_start {
-                self.cache = None;
-            }
-        }
         self.map.remove(&vpage_start)
     }
 
@@ -193,23 +193,12 @@ impl MappingTable {
         }
     }
 
-    /// Finds the mapping containing `va`, updating the lookup cache.
-    pub fn lookup(&mut self, va: VirtAddr) -> Result<Mapping> {
-        let vpage = va.page_index();
-        if let Some(c) = self.cache {
-            if vpage >= c.vpage_start && vpage < c.vpage_start + c.pages as u64 {
-                return Ok(c);
-            }
-        }
-        let m = *self.lookup_page(vpage).ok_or(HmsError::Unmapped(va))?;
-        self.cache = Some(m);
-        Ok(m)
-    }
-
-    /// Finds the mapping containing `va` without touching the lookup cache,
-    /// so concurrent readers (the per-core access engines) can share the
-    /// table behind `&self`. Callers keep their own one-entry memo instead.
-    pub fn lookup_ro(&self, va: VirtAddr) -> Result<Mapping> {
+    /// Finds the mapping containing `va`.
+    ///
+    /// # Errors
+    ///
+    /// [`HmsError::Unmapped`] if no mapping contains `va`.
+    pub fn lookup(&self, va: VirtAddr) -> Result<Mapping> {
         self.lookup_page(va.page_index())
             .copied()
             .ok_or(HmsError::Unmapped(va))
@@ -259,12 +248,6 @@ impl MappingTable {
     /// Iterates over all mappings in address order.
     pub fn iter(&self) -> impl Iterator<Item = &Mapping> {
         self.map.values()
-    }
-
-    /// Invalidate the lookup cache (after any remap that may have
-    /// changed the cached entry).
-    pub fn flush_cache(&mut self) {
-        self.cache = None;
     }
 }
 
@@ -522,11 +505,40 @@ mod tests {
     }
 
     #[test]
-    fn cache_invalidation_on_remove() {
+    fn lookup_after_remove_is_unmapped() {
         let mut t = MappingTable::new();
         t.insert(m(16, 8, 100, PageKind::Base4K));
         let _ = t.lookup(VirtAddr::new(16 << PAGE_SHIFT)).unwrap();
         t.remove(16);
         assert!(t.lookup(VirtAddr::new(16 << PAGE_SHIFT)).is_err());
+    }
+
+    /// The overlap guard is a hard check: in a release build an
+    /// overlapping insert used to replace or shadow a live mapping.
+    #[test]
+    #[should_panic(expected = "overlapping mapping")]
+    fn overlapping_insert_is_rejected() {
+        let mut t = MappingTable::new();
+        t.insert(m(16, 8, 100, PageKind::Base4K));
+        t.insert(m(20, 2, 200, PageKind::Base4K));
+    }
+
+    /// A mapping that encloses an existing one is an overlap too, although
+    /// neither its first nor its last page is mapped.
+    #[test]
+    #[should_panic(expected = "overlapping mapping")]
+    fn enclosing_insert_is_rejected() {
+        let mut t = MappingTable::new();
+        t.insert(m(16, 8, 100, PageKind::Base4K));
+        t.insert(m(8, 32, 200, PageKind::Base4K));
+    }
+
+    #[test]
+    fn adjacent_inserts_are_accepted() {
+        let mut t = MappingTable::new();
+        t.insert(m(16, 8, 100, PageKind::Base4K));
+        t.insert(m(8, 8, 200, PageKind::Base4K));
+        t.insert(m(24, 8, 300, PageKind::Base4K));
+        assert_eq!(t.len(), 3);
     }
 }

@@ -116,9 +116,10 @@ pub struct CoreCtx {
     pub(crate) pebs: Pebs,
     pub(crate) tracer: Tracer,
     pub(crate) counters: Counters,
-    /// One-entry memo over the shared mapping table (the per-core analogue
-    /// of [`MappingTable`]'s internal lookup cache, which cores cannot
-    /// share behind `&self`).
+    /// One-entry memo over the shared mapping table: the only mapping
+    /// memo in the simulator. Every lookup goes through
+    /// [`CoreCtx::lookup`]; every mapping-table mutation on the machine
+    /// resets the resident core's memo, and forked cores start without one.
     pub(crate) map_memo: Option<Mapping>,
 }
 
@@ -156,6 +157,25 @@ impl CoreCtx {
     /// This core's phase-local elapsed simulated time.
     pub fn elapsed(&self) -> SimDuration {
         self.clock.now()
+    }
+
+    /// Finds the mapping containing `va` through the one-entry memo,
+    /// falling back to the shared table.
+    ///
+    /// # Errors
+    ///
+    /// [`HmsError::Unmapped`] if no mapping contains `va`.
+    #[inline]
+    pub(crate) fn lookup(&mut self, mappings: &MappingTable, va: VirtAddr) -> Result<Mapping> {
+        let vpage = va.page_index();
+        if let Some(m) = self.map_memo {
+            if vpage >= m.vpage_start && vpage < m.vpage_start + m.pages as u64 {
+                return Ok(m);
+            }
+        }
+        let m = mappings.lookup(va)?;
+        self.map_memo = Some(m);
+        Ok(m)
     }
 }
 
@@ -382,28 +402,13 @@ impl<'a> CoreHandle<'a> {
         self.core.clock.now()
     }
 
-    /// Finds the mapping containing `va` through the core-private one-entry
-    /// memo, falling back to the shared table.
-    #[inline]
-    fn lookup(&mut self, va: VirtAddr) -> Result<Mapping> {
-        let vpage = va.page_index();
-        if let Some(m) = self.core.map_memo {
-            if vpage >= m.vpage_start && vpage < m.vpage_start + m.pages as u64 {
-                return Ok(m);
-            }
-        }
-        let m = self.mappings.lookup_ro(va)?;
-        self.core.map_memo = Some(m);
-        Ok(m)
-    }
-
     /// Performs an accounted access of `len` bytes at `va` and returns the
     /// (tier, storage offset) servicing it. The access must not cross a
     /// page boundary (guaranteed for naturally aligned scalars).
     #[inline]
     fn access(&mut self, va: VirtAddr, len: usize, write: bool) -> Result<(TierId, usize)> {
         check_within_page(va, len)?;
-        let mapping = self.lookup(va)?;
+        let mapping = self.core.lookup(self.mappings, va)?;
         self.core.counters.accesses += 1;
         if write {
             self.core.counters.writes += 1;
@@ -497,7 +502,7 @@ impl<'a> CoreHandle<'a> {
         f: impl FnOnce(T) -> T,
     ) -> Result<T> {
         check_within_page(va, T::SIZE)?;
-        let mapping = self.lookup(va)?;
+        let mapping = self.core.lookup(self.mappings, va)?;
         self.core.counters.accesses += 2;
         self.core.counters.reads += 1;
         self.core.counters.writes += 1;
@@ -564,7 +569,7 @@ impl<'a> CoreHandle<'a> {
     /// boundary (nothing is charged).
     pub fn peek<T: Scalar>(&mut self, va: VirtAddr) -> Result<T> {
         check_within_page(va, T::SIZE)?;
-        let mapping = self.lookup(va)?;
+        let mapping = self.core.lookup(self.mappings, va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self
             .tiers
@@ -582,7 +587,7 @@ impl<'a> CoreHandle<'a> {
     /// boundary (nothing is charged).
     pub fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()> {
         check_within_page(va, T::SIZE)?;
-        let mapping = self.lookup(va)?;
+        let mapping = self.core.lookup(self.mappings, va)?;
         let (frame, offset) = mapping.translate(va);
         let bytes = self
             .tiers
@@ -666,19 +671,16 @@ impl<'a> CoreHandle<'a> {
     /// inside one TLB translation unit, which sits inside one mapping, a
     /// same-line element is a guaranteed TLB hit and a guaranteed LLC hit
     /// in the scalar loop; the engine therefore defers those bumps (counts
-    /// per structure) and flushes them — via [`Tlb::window_settle`] and
-    /// [`Cache::window_settle`] — immediately before the next *real* probe
+    /// per structure) and settles them — via [`Tlb::access_run`] and
+    /// [`Cache::rehit_run`] — immediately before the next *real* probe
     /// of that structure, before returning an error, and at window end.
-    /// Between flush points no other TLB/LLC operation happens, so the
+    /// Between settle points no other TLB/LLC operation happens, so the
     /// deferred bumps commute with nothing and every replacement / sampling
     /// decision is made on exactly the state the scalar loop would have
     /// had. The TLB run additionally extends across lines while the
-    /// translation key is unchanged (keys are location-unique), and key
-    /// *changes* probe through the TLB's window side-memo
-    /// ([`Tlb::window_access_run`]); line changes probe through the LLC's
-    /// window side-memo ([`Cache::window_access_slot`]), which skips the
-    /// per-set tag scan for recently probed lines and defers their LRU
-    /// re-stamps until the next eviction decision in that set. Clock,
+    /// translation key is unchanged (keys are location-unique); key
+    /// changes probe with [`Tlb::access_run`] and line changes with
+    /// [`Cache::access_slot`], the calls the scalar path makes. Clock,
     /// counters, PEBS and trace records are still charged per element, in
     /// order, with the identical f64 cost composition — so all simulated
     /// state ends bit-identical to the scalar loop.
@@ -717,17 +719,18 @@ impl<'a> CoreHandle<'a> {
         let mut rest_cost = SimDuration::ZERO;
         rest_cost += hit_cost;
 
-        // One-entry mapping memo: windows overwhelmingly stay inside one
-        // array, so most iterations skip the mapping-table call entirely.
-        let mut cur: Option<Mapping> = None;
         // Current TLB run: deferred guaranteed-hit touches of `run_key`.
         let mut run_key = 0u64;
         let mut run_key_valid = false;
         let mut tlb_pending = 0usize;
-        // Current line run: deferred guaranteed-hit touches of `cur_slot`.
+        // Current line run: deferred guaranteed-hit touches of `cur_slot`,
+        // and where the line's bytes live (tier, storage offset of its
+        // first byte).
         let mut cur_vline = 0u64;
         let mut line_valid = false;
         let mut cur_slot = 0usize;
+        let mut line_tier = TierId::FAST;
+        let mut line_base = 0usize;
         let mut pending_reads = 0u64;
         let mut pending_writes = 0u64;
 
@@ -749,7 +752,6 @@ impl<'a> CoreHandle<'a> {
                 // so the scalar loop's TLB access and LLC access are both
                 // guaranteed hits — defer their bumps and charge everything
                 // else exactly as the scalar loop would.
-                let mapping = cur.expect("line run without a mapping");
                 match OP {
                     OP_READ => {
                         self.core.counters.accesses += 1;
@@ -786,39 +788,33 @@ impl<'a> CoreHandle<'a> {
                         }
                     }
                 }
-                let (frame, offset) = mapping.translate(va);
+                let in_line = va.raw() as usize % LINE_SIZE;
                 let bytes = self
                     .tiers
-                    .bytes_mut(frame.tier, frame.byte_offset() + offset, T::SIZE);
+                    .bytes_mut(line_tier, line_base + in_line, T::SIZE);
                 data(k, bytes);
                 continue;
             }
 
-            // New line: resolve the mapping (memo first), scalar order —
-            // lookup precedes the counter charge, so an unmapped element
-            // leaves totals exactly where the scalar loop would.
-            let vpage = va.page_index();
-            let mapping = match cur {
-                Some(m) if vpage >= m.vpage_start && vpage < m.vpage_start + m.pages as u64 => m,
-                _ => match self.lookup(va) {
-                    Ok(m) => {
-                        cur = Some(m);
-                        m
+            // New line: resolve the mapping through the core's memo, in
+            // scalar order — lookup precedes the counter charge, so an
+            // unmapped element leaves totals exactly where the scalar loop
+            // would.
+            let mapping = match self.core.lookup(self.mappings, va) {
+                Ok(m) => m,
+                Err(e) => {
+                    // Settle deferred bumps so partial state matches the
+                    // scalar loop's at the failing element.
+                    if tlb_pending > 0 {
+                        self.core.tlb.access_run(run_key, tlb_pending);
                     }
-                    Err(e) => {
-                        // Flush deferred bumps so partial state matches the
-                        // scalar loop's at the failing element.
-                        if tlb_pending > 0 {
-                            self.core.tlb.window_settle(run_key, tlb_pending);
-                        }
-                        if pending_reads + pending_writes > 0 {
-                            self.core
-                                .llc
-                                .window_settle(cur_slot, pending_reads, pending_writes);
-                        }
-                        return Err(e);
+                    if pending_reads + pending_writes > 0 {
+                        self.core
+                            .llc
+                            .rehit_run(cur_slot, pending_reads, pending_writes);
                     }
-                },
+                    return Err(e);
+                }
             };
             match OP {
                 OP_READ => {
@@ -837,39 +833,40 @@ impl<'a> CoreHandle<'a> {
             }
 
             // TLB: extend the key run (guaranteed hit on the just-touched
-            // entry, no hash lookup) or flush the pending touches and probe.
+            // entry, no hash lookup) or settle the pending touches and probe.
             let key = mapping.tlb_key(va, coalesce);
             let pay_walk = if run_key_valid && key == run_key {
                 tlb_pending += tlb_per_elem;
                 false
             } else {
                 if tlb_pending > 0 {
-                    self.core.tlb.window_settle(run_key, tlb_pending);
+                    self.core.tlb.access_run(run_key, tlb_pending);
                     tlb_pending = 0;
                 }
-                let tlb_hit = self.core.tlb.window_access_run(key, tlb_per_elem);
+                let tlb_hit = self.core.tlb.access_run(key, tlb_per_elem);
                 run_key = key;
                 run_key_valid = true;
                 !tlb_hit
             };
 
-            // LLC: flush the deferred same-line touches, then probe the new
-            // line through the window side-memo on exactly the state the
-            // scalar loop would have had.
+            // LLC: settle the deferred same-line touches, then probe the
+            // new line on exactly the state the scalar loop would have had.
             if pending_reads + pending_writes > 0 {
                 self.core
                     .llc
-                    .window_settle(cur_slot, pending_reads, pending_writes);
+                    .rehit_run(cur_slot, pending_reads, pending_writes);
                 pending_reads = 0;
                 pending_writes = 0;
             }
             let (frame, offset) = mapping.translate(va);
             let pa = frame.phys_addr(offset).line_aligned();
-            let (outcome, slot) = self.core.llc.window_access_slot(pa, write_probe);
+            let (outcome, slot) = self.core.llc.access_slot(pa, write_probe);
             let hit = outcome.is_hit();
             cur_slot = slot;
             cur_vline = vline;
             line_valid = true;
+            line_tier = frame.tier;
+            line_base = frame.byte_offset() + offset - va.raw() as usize % LINE_SIZE;
 
             // Cost composition identical to the scalar path.
             let mut cost = SimDuration::ZERO;
@@ -934,16 +931,14 @@ impl<'a> CoreHandle<'a> {
             data(k, bytes);
         }
 
-        // Window end: flush whatever is still deferred. The TLB and LLC
-        // memos' re-stamps stay deferred across windows; any non-window
-        // operation settles them.
+        // Window end: settle whatever is still deferred.
         if tlb_pending > 0 {
-            self.core.tlb.window_settle(run_key, tlb_pending);
+            self.core.tlb.access_run(run_key, tlb_pending);
         }
         if pending_reads + pending_writes > 0 {
             self.core
                 .llc
-                .window_settle(cur_slot, pending_reads, pending_writes);
+                .rehit_run(cur_slot, pending_reads, pending_writes);
         }
         Ok(())
     }
@@ -994,7 +989,7 @@ impl<'a> CoreHandle<'a> {
         let mut va = range.start;
         let end = range.end();
         while va < end {
-            let mapping = self.lookup(va)?;
+            let mapping = self.core.lookup(self.mappings, va)?;
             let chunk_end = mapping.vrange().end().min(end);
             let chunk_len = chunk_end.offset_from(va) as usize;
             let chunk_elems = (chunk_len / elem) as u64;

@@ -28,17 +28,14 @@ pub struct MachineStats {
     pub tlb_hits: u64,
     /// TLB misses.
     pub tlb_misses: u64,
-    /// Bytes currently allocated on the fast tier.
-    pub fast_bytes_used: u64,
-    /// Bytes currently allocated on the slow tier.
-    pub slow_bytes_used: u64,
     /// Bytes moved by migrations so far.
     pub bytes_migrated: u64,
 }
 
 impl MachineStats {
-    /// Component-wise difference `self - earlier` for the monotone counters;
-    /// the occupancy gauges (`*_bytes_used`) keep the later value.
+    /// Component-wise difference `self - earlier`. Every field is a
+    /// monotone counter; per-tier occupancy is a gauge and lives on
+    /// [`Machine::bytes_used_by_tier`](crate::Machine::bytes_used_by_tier).
     #[must_use]
     pub fn delta(&self, earlier: &MachineStats) -> MachineStats {
         MachineStats {
@@ -52,8 +49,6 @@ impl MachineStats {
             llc_write_misses: self.llc_write_misses - earlier.llc_write_misses,
             tlb_hits: self.tlb_hits - earlier.tlb_hits,
             tlb_misses: self.tlb_misses - earlier.tlb_misses,
-            fast_bytes_used: self.fast_bytes_used,
-            slow_bytes_used: self.slow_bytes_used,
             bytes_migrated: self.bytes_migrated - earlier.bytes_migrated,
         }
     }
@@ -94,22 +89,18 @@ mod tests {
             time_ns: 10.0,
             accesses: 5,
             tlb_misses: 1,
-            fast_bytes_used: 100,
             ..MachineStats::default()
         };
         let later = MachineStats {
             time_ns: 25.0,
             accesses: 9,
             tlb_misses: 4,
-            fast_bytes_used: 300,
             ..MachineStats::default()
         };
         let d = later.delta(&earlier);
         assert_eq!(d.accesses, 4);
         assert_eq!(d.tlb_misses, 3);
         assert!((d.time_ns - 15.0).abs() < 1e-12);
-        // Gauges keep the later value.
-        assert_eq!(d.fast_bytes_used, 300);
     }
 
     #[test]

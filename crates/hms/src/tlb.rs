@@ -8,10 +8,6 @@
 
 use std::collections::HashMap;
 
-/// Slots in the window side-memo (see [`Tlb::window_access_run`]). A
-/// power of two so the slot index is a multiplicative hash of the key.
-const MEMO_SLOTS: usize = 64;
-
 /// LRU TLB with a fixed number of entries.
 ///
 /// Resident entries live densely in `slots` as `(key, timestamp)` pairs
@@ -21,26 +17,6 @@ const MEMO_SLOTS: usize = 64;
 /// and a dense slice keeps that O(n) scan a tight loop over contiguous
 /// memory. Timestamps are unique, so the victim never depends on slot
 /// order.
-///
-/// ## The window side-memo
-///
-/// The batched window engine probes the TLB once per cache-line run, and
-/// irregular windows revisit a small set of hot translation units over and
-/// over. For those, the full hash-map probe only serves to re-stamp an
-/// entry that is already known to be resident. The memo is a tiny
-/// direct-mapped cache of recently probed keys whose re-stamps are
-/// *deferred*: a memo hit bumps the tick and hit counter eagerly (so
-/// interleaved real probes stamp correct timestamps) and records the
-/// entry's final timestamp in the memo instead of the map.
-///
-/// Deferral is sound because entry timestamps are only ever *read* by the
-/// LRU eviction scan: every deferred re-stamp is applied (flushed) before
-/// an eviction decision and before any non-window operation touches the
-/// table, so observable behaviour — hit/miss outcomes, counters, and every
-/// future eviction — is bit-identical to eager per-access re-stamping.
-/// This is a window-path optimisation by construction: the scalar access
-/// path has no flush contract, so its re-stamps must be eager and gain
-/// nothing from the memo.
 #[derive(Debug)]
 pub struct Tlb {
     index: HashMap<u64, u32>,
@@ -49,9 +25,6 @@ pub struct Tlb {
     tick: u64,
     hits: u64,
     misses: u64,
-    memo_keys: [u64; MEMO_SLOTS],
-    memo_ticks: [u64; MEMO_SLOTS],
-    memo_occ: u64,
 }
 
 impl Tlb {
@@ -69,32 +42,6 @@ impl Tlb {
             tick: 0,
             hits: 0,
             misses: 0,
-            memo_keys: [0; MEMO_SLOTS],
-            memo_ticks: [0; MEMO_SLOTS],
-            memo_occ: 0,
-        }
-    }
-
-    /// Direct-mapped memo slot for `key` (Fibonacci multiplicative hash,
-    /// top bits).
-    #[inline]
-    fn memo_slot(key: u64) -> usize {
-        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> 58) as usize
-    }
-
-    /// Applies every deferred re-stamp and empties the memo. Must run
-    /// before any timestamp read (the eviction scan) and before any
-    /// non-window mutation of the table.
-    fn memo_flush(&mut self) {
-        let mut occ = self.memo_occ;
-        self.memo_occ = 0;
-        while occ != 0 {
-            let s = occ.trailing_zeros() as usize;
-            occ &= occ - 1;
-            let memo_tick = self.memo_ticks[s];
-            if let Some(ts) = self.stamp_of(self.memo_keys[s]) {
-                *ts = memo_tick;
-            }
         }
     }
 
@@ -130,9 +77,6 @@ impl Tlb {
     /// Looks up `key`; returns `true` on a hit. On a miss the entry is
     /// filled (evicting the LRU entry if full).
     pub fn access(&mut self, key: u64) -> bool {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
         self.tick += 1;
         let tick = self.tick;
         if let Some(ts) = self.stamp_of(key) {
@@ -154,12 +98,10 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `count` is zero.
+    /// Panics if `count` is zero, in every profile: an empty run would
+    /// still count one miss and wrap the hit counter below zero.
     pub fn access_run(&mut self, key: u64, count: usize) -> bool {
-        debug_assert!(count > 0, "empty TLB run");
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
+        assert!(count > 0, "empty TLB run");
         let final_tick = self.tick + count as u64;
         if let Some(ts) = self.stamp_of(key) {
             *ts = final_tick;
@@ -176,82 +118,6 @@ impl Tlb {
         false
     }
 
-    /// Batched window lookup: like [`access_run`](Tlb::access_run) but
-    /// through the window side-memo, so a key probed earlier on the window
-    /// path skips the hash-map probe entirely and has its re-stamp
-    /// deferred. Hit/miss outcomes, counters and all future evictions are
-    /// identical to `count` scalar [`access`](Tlb::access) calls.
-    ///
-    /// Only the batched window engine may use this: correctness relies on
-    /// every interleaved non-window operation flushing the memo first,
-    /// which [`access`]/[`access_run`]/the shootdown paths do.
-    ///
-    /// [`access`]: Tlb::access
-    /// [`access_run`]: Tlb::access_run
-    pub(crate) fn window_access_run(&mut self, key: u64, count: usize) -> bool {
-        debug_assert!(count > 0, "empty TLB run");
-        let s = Self::memo_slot(key);
-        let bit = 1u64 << s;
-        if self.memo_occ & bit != 0 && self.memo_keys[s] == key {
-            // Memo hit: the key is guaranteed resident, so the scalar loop
-            // would hit. Tick and hit counter advance eagerly (interleaved
-            // real probes must stamp correct timestamps); the entry's
-            // re-stamp stays deferred in the memo.
-            self.tick += count as u64;
-            self.hits += count as u64;
-            self.memo_ticks[s] = self.tick;
-            return true;
-        }
-        // Real probe. A hit re-stamps eagerly; a miss that evicts must
-        // first apply every deferred re-stamp so the LRU scan sees the
-        // timestamps the scalar loop would have written.
-        let final_tick = self.tick + count as u64;
-        self.tick = final_tick;
-        let hit = if let Some(ts) = self.stamp_of(key) {
-            *ts = final_tick;
-            self.hits += count as u64;
-            true
-        } else {
-            self.misses += 1;
-            self.hits += (count - 1) as u64;
-            if self.slots.len() >= self.capacity {
-                self.memo_flush();
-            }
-            self.fill(key, final_tick);
-            false
-        };
-        // Install the key in the memo, settling any colliding occupant's
-        // deferred re-stamp first.
-        if self.memo_occ & bit != 0 {
-            let memo_tick = self.memo_ticks[s];
-            if let Some(ts) = self.stamp_of(self.memo_keys[s]) {
-                *ts = memo_tick;
-            }
-        }
-        self.memo_keys[s] = key;
-        self.memo_ticks[s] = final_tick;
-        self.memo_occ |= bit;
-        hit
-    }
-
-    /// Settles `count` deferred guaranteed hits of `key` accumulated by the
-    /// window engine's line-run coalescing. `key` was probed via
-    /// [`window_access_run`](Tlb::window_access_run) when the run opened and
-    /// no other TLB operation has intervened, so it is still in the memo;
-    /// the fallback probe is defensive.
-    pub(crate) fn window_settle(&mut self, key: u64, count: usize) {
-        debug_assert!(count > 0, "empty TLB settle");
-        let s = Self::memo_slot(key);
-        if self.memo_occ & (1 << s) != 0 && self.memo_keys[s] == key {
-            self.tick += count as u64;
-            self.hits += count as u64;
-            self.memo_ticks[s] = self.tick;
-        } else {
-            debug_assert!(false, "settled key lost from the window memo");
-            self.access_run(key, count);
-        }
-    }
-
     /// The timestamp of resident `key`, if any.
     #[inline]
     fn stamp_of(&mut self, key: u64) -> Option<&mut u64> {
@@ -260,15 +126,13 @@ impl Tlb {
     }
 
     /// Inserts non-resident `key` stamped `tick`, replacing the
-    /// least-recently-used entry in place when the TLB is full. Deferred
-    /// window re-stamps must already be flushed.
+    /// least-recently-used entry in place when the TLB is full.
     fn fill(&mut self, key: u64, tick: u64) {
         if self.slots.len() < self.capacity {
             self.index.insert(key, self.slots.len() as u32);
             self.slots.push((key, tick));
             return;
         }
-        debug_assert_eq!(self.memo_occ, 0, "eviction with deferred re-stamps");
         let mut victim = 0;
         let mut oldest = u64::MAX;
         for (slot, &(_, ts)) in self.slots.iter().enumerate() {
@@ -284,9 +148,6 @@ impl Tlb {
 
     /// Invalidates a single entry, as a TLB shootdown for one unit would.
     pub fn invalidate(&mut self, key: u64) {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
         if let Some(slot) = self.index.remove(&key) {
             self.slots.swap_remove(slot as usize);
             if let Some(&(moved, _)) = self.slots.get(slot as usize) {
@@ -297,9 +158,6 @@ impl Tlb {
 
     /// Invalidates every entry whose key satisfies `pred` (range shootdown).
     pub fn invalidate_where(&mut self, mut pred: impl FnMut(u64) -> bool) {
-        if self.memo_occ != 0 {
-            self.memo_flush();
-        }
         let before = self.slots.len();
         self.slots.retain(|&(k, _)| !pred(k));
         if self.slots.len() != before {
@@ -311,15 +169,13 @@ impl Tlb {
     }
 
     /// The keys of every resident entry, in unspecified order. Used by the
-    /// machine invariant auditor; safe without a memo flush because the
-    /// window memo only defers LRU timestamp re-stamps, never insertions.
+    /// machine invariant auditor.
     pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
         self.slots.iter().map(|&(k, _)| k)
     }
 
     /// Drops all entries (full flush), keeping the counters.
     pub fn flush(&mut self) {
-        self.memo_occ = 0;
         self.index.clear();
         self.slots.clear();
     }
@@ -466,68 +322,13 @@ mod tests {
         }
     }
 
+    /// The zero-count guard is a hard check: a release build must not
+    /// charge a phantom miss and wrap the hit counter.
     #[test]
-    fn window_api_matches_the_per_element_loop() {
-        let mut windowed = Tlb::new(3);
-        let mut looped = Tlb::new(3);
-        // A mix of window probes (memo path), interleaved scalar accesses
-        // (which flush the memo) and enough distinct keys to force
-        // evictions with re-stamps still deferred. Keys 1 and 56 share a
-        // memo slot, exercising the colliding-occupant settle.
-        let script: &[(u64, usize, bool)] = &[
-            (1, 2, true),  // window probe, miss, fills
-            (1, 3, true),  // memo hit
-            (56, 1, true), // memo collision with 1: settles 1, installs 56
-            (2, 1, true),  // miss, fills
-            (1, 2, true),  // real probe (memo slot lost), hit
-            (3, 1, true),  // miss, full: eviction flushes deferred stamps
-            (1, 1, false), // scalar access: flushes the memo
-            (2, 2, true),
-            (3, 1, true),
-            (4, 2, true), // eviction again
-            (1, 4, true),
-        ];
-        for &(key, count, window) in script {
-            let got = if window {
-                windowed.window_access_run(key, count)
-            } else {
-                for _ in 1..count {
-                    windowed.access(key);
-                }
-                windowed.access(key)
-            };
-            let mut want = false;
-            for _ in 0..count {
-                want = looped.access(key);
-            }
-            // `access_run` reports the first outcome, the loop's last — on
-            // count > 1 both end resident, so only compare for count == 1.
-            if count == 1 {
-                assert_eq!(got, want, "outcome for key {key}");
-            }
-            assert_eq!(windowed.hits(), looped.hits(), "hits after key {key}");
-            assert_eq!(windowed.misses(), looped.misses(), "misses after key {key}");
-        }
-        // Replacement state is identical: future evictions agree.
-        for k in 100..130 {
-            assert_eq!(windowed.access(k), looped.access(k), "probe of {k}");
-        }
-        assert_eq!(windowed.hits(), looped.hits());
-        assert_eq!(windowed.misses(), looped.misses());
-    }
-
-    #[test]
-    fn deferred_restamps_reach_the_eviction_scan() {
-        let mut tlb = Tlb::new(2);
-        assert!(!tlb.window_access_run(1, 1)); // fills 1 (stamp 1)
-        assert!(!tlb.window_access_run(2, 1)); // fills 2 (stamp 2)
-        assert!(tlb.window_access_run(1, 3)); // memo hit: 1 re-stamped to 5, deferred
-                                              // Without the flush-before-evict the scan would see 1's stale
-                                              // stamp (1 < 2) and evict 1; the deferred re-stamp makes 2 LRU.
-        assert!(!tlb.access(3), "3 must miss");
-        assert!(tlb.access(1), "re-stamped 1 must survive the eviction");
-        assert!(!tlb.access(2), "2 was LRU and must have been evicted");
-        assert_eq!(tlb.hits(), 4);
+    #[should_panic(expected = "empty TLB run")]
+    fn empty_access_run_is_rejected() {
+        let mut tlb = Tlb::new(4);
+        tlb.access_run(1, 0);
     }
 
     #[test]

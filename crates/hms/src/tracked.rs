@@ -802,11 +802,12 @@ mod tests {
     #[test]
     fn free_releases() {
         let mut m = machine();
-        let used0 = m.stats().slow_bytes_used;
+        let slow = TierId::SLOW.index();
+        let used0 = m.bytes_used_by_tier()[slow];
         let v = TrackedVec::<u64>::new(&mut m, 4096, Placement::Slow).unwrap();
-        assert!(m.stats().slow_bytes_used > used0);
+        assert!(m.bytes_used_by_tier()[slow] > used0);
         v.free(&mut m).unwrap();
-        assert_eq!(m.stats().slow_bytes_used, used0);
+        assert_eq!(m.bytes_used_by_tier()[slow], used0);
     }
 
     #[test]

@@ -15,7 +15,7 @@ const REGION_BYTES: usize = 16 * 1024 * 1024;
 
 /// Scans the region once and returns the TLB misses of the scan.
 fn scan_tlb_misses(m: &mut Machine, range: VirtRange) -> u64 {
-    m.flush_caches();
+    m.flush_tlb_and_llc();
     let before = m.stats().tlb_misses;
     let words = range.len as u64 / 8;
     for i in (0..words).step_by(512) {

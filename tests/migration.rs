@@ -337,7 +337,7 @@ fn cascade_sizes_middle_hop_by_resident_bytes_and_staging_headroom() {
 #[test]
 fn staged_migration_causes_fewer_post_migration_tlb_misses() {
     let scan = |m: &mut Machine, r: VirtRange| {
-        m.flush_caches();
+        m.flush_tlb_and_llc();
         let before = m.stats().tlb_misses;
         for page in 0..(r.len / PAGE) as u64 {
             let _ = m.read::<u64>(r.start.add(page * PAGE as u64)).unwrap();

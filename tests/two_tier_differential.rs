@@ -75,6 +75,7 @@ fn protocol_digest(platform: Platform, app: App, cores: usize) -> u64 {
     d.push_f64(r.checksum);
     d.push_f64(r.data_ratio);
     let s = &r.second_iter_stats;
+    let used = &r.bytes_used_by_tier;
     d.push_f64(s.time_ns);
     for c in [
         s.accesses,
@@ -86,8 +87,8 @@ fn protocol_digest(platform: Platform, app: App, cores: usize) -> u64 {
         s.llc_write_misses,
         s.tlb_hits,
         s.tlb_misses,
-        s.fast_bytes_used,
-        s.slow_bytes_used,
+        used[0],
+        used[used.len() - 1],
         s.bytes_migrated,
     ] {
         d.push(c);
@@ -133,12 +134,13 @@ fn machine_digest(platform: Platform) -> u64 {
     d.push(acc);
     d.push_f64(m.now().as_ns());
     let s = m.stats();
+    let used = m.bytes_used_by_tier();
     for c in [
         s.accesses,
         s.llc_read_misses,
         s.tlb_misses,
-        s.fast_bytes_used,
-        s.slow_bytes_used,
+        used[0],
+        used[used.len() - 1],
     ] {
         d.push(c);
     }
