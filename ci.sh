@@ -16,13 +16,17 @@ cargo fmt --all -- --check
 echo "==> cargo clippy (deny warnings)"
 cargo clippy --all-targets -- -D warnings
 
+echo "==> rustdoc (deny warnings)"
+# Broken or private intra-doc links fail here instead of piling up.
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
+
 echo "==> tier-1: cargo build --release"
 cargo build --release
 
 echo "==> tier-1: cargo test -q"
 cargo test -q
 
-echo "==> release-mode soundness (every hms and core test under --release)"
+echo "==> release-mode soundness (every workspace test under --release)"
 # The guards below are plain checks, not debug_assert!: they must fire in
 # optimized builds too. Without them an out-of-range window or element
 # index silently aliases another element, an overlapping copy job silently
@@ -30,9 +34,12 @@ echo "==> release-mode soundness (every hms and core test under --release)"
 # across frames, a tier index past the tier count dereferences a null
 # storage pointer, a NaN duration poisons the simulated clock, an
 # overlapping mapping insert shadows a live mapping, an empty TLB/LLC run
-# charges a phantom access, a VirtAddr distance wraps, and an offset past
-# an object yields a chunk index that does not exist. Running the whole
-# atmem-hms and atmem (core) suites under --release is a superset of the
+# charges a phantom access, a VirtAddr distance wraps, an offset past
+# an object yields a chunk index that does not exist, a translation
+# outside its mapping names a frame the mapping does not own, an
+# unaligned split splits at the floored page, and a zero-core barrier
+# charges a phantom stage. Release is what the benches and binaries ship,
+# so the whole workspace runs under --release. That is a superset of the
 # per-guard regression tests (window_bounds_check_is_a_hard_check,
 # windows_beyond_u32_index_range_are_rejected,
 # element_bounds_check_is_a_hard_check,
@@ -40,9 +47,11 @@ echo "==> release-mode soundness (every hms and core test under --release)"
 # page_straddling_scalar_access_is_rejected,
 # tiers_view_rejects_tiers_past_the_count, overlapping_insert_is_rejected,
 # enclosing_insert_is_rejected, the three empty_*_run_is_rejected tests,
-# offset_from_underflow_is_rejected, offsets_past_the_object_are_rejected),
-# so a future debug_assert! demotion fails CI instead of shipping.
-cargo test -q --release -p atmem-hms -p atmem
+# offset_from_underflow_is_rejected, offsets_past_the_object_are_rejected,
+# translate_outside_mapping_is_rejected, unaligned_split_is_rejected,
+# zero_core_barrier_is_rejected), so a future debug_assert! demotion fails
+# CI instead of shipping.
+cargo test -q --release --workspace
 
 echo "==> benchmark build + tests (perfbench/ is its own workspace)"
 # perfbench builds against the crates by path but is not part of the root

@@ -11,8 +11,8 @@
 //! simulator's batched fast paths — block translation for streams, the
 //! window engine for irregular index windows — which produce bit-identical
 //! simulated state to [`AccessMode::Scalar`]'s per-element loops (the
-//! fidelity guarantee of `Machine::access_block` and
-//! `Machine::access_window`), at a fraction of the host cost.
+//! fidelity guarantee of the core engine's `CoreHandle::access_block` and
+//! `CoreHandle::access_window`), at a fraction of the host cost.
 //!
 //! These two modes are the whole access surface. Caching compiled access
 //! plans across iterations does not pay here: the paper's protocol

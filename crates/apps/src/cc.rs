@@ -122,7 +122,7 @@ impl Kernel for Cc {
     /// One pass with the CSR streams partitioned over `ctx.par_cores()`
     /// simulated cores (each core reads its edge-balanced slice of the
     /// bounds and neighbour arrays through its own accounted core), then
-    /// the sequential [`propagate`](Cc::propagate) phase on the resident
+    /// the sequential `propagate` phase on the resident
     /// core over the reassembled host staging.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();

@@ -127,7 +127,7 @@ impl Kernel for KCore {
     /// One decomposition with the degree initialisation partitioned over
     /// `ctx.par_cores()` simulated cores (each core streams its
     /// edge-balanced bounds slice and writes its owned degree slice), then
-    /// the sequential [`peel`](KCore::peel) phase on the resident core.
+    /// the sequential `peel` phase on the resident core.
     fn run_iteration(&mut self, ctx: &mut MemCtx) {
         let cores = ctx.par_cores();
         let mode = ctx.mode();

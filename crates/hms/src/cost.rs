@@ -156,8 +156,13 @@ impl CostModel {
     /// sequence does not vanish at n=1). Integer-exact: the stage count is
     /// computed on integers, so equal core counts always produce
     /// bit-identical durations.
+    ///
+    /// # Panics
+    ///
+    /// Panics in every profile if `cores == 0`: a barrier over no cores
+    /// would otherwise silently charge one stage.
     pub fn barrier_cost(&self, cores: usize) -> SimDuration {
-        debug_assert!(cores > 0, "barrier over zero cores");
+        assert!(cores > 0, "barrier over zero cores");
         let stages = cores.next_power_of_two().trailing_zeros().max(1);
         SimDuration(stages as f64 * self.barrier_ns)
     }
@@ -251,5 +256,13 @@ mod tests {
     #[should_panic(expected = "finite and non-negative")]
     fn nan_durations_are_rejected() {
         let _ = SimDuration::from_ns(f64::NAN);
+    }
+
+    /// A barrier over zero cores is a caller bug, not a one-stage barrier:
+    /// rejected in every profile (also run under `--release` by ci.sh).
+    #[test]
+    #[should_panic(expected = "barrier over zero cores")]
+    fn zero_core_barrier_is_rejected() {
+        let _ = CostModel::new(18.0, 60.0, 48).barrier_cost(0);
     }
 }

@@ -105,6 +105,7 @@ impl FrameAllocator {
             .scan(self.hint, self.total, count, align)
             .or_else(|| self.scan(0, self.hint.min(self.total), count, align))?;
         for i in found..found + count {
+            // Internal invariant: `scan` only returns runs of clear bits.
             debug_assert!(!self.is_set(i));
             self.set(i);
         }

@@ -76,9 +76,7 @@ pub use machine::{AllocationInfo, Machine, MigrationReport, Placement, Scalar};
 pub use mapping::{Mapping, MappingTable, PageKind};
 pub use pebs::{Pebs, SampleRecord};
 pub use platform::Platform;
-pub use shard::{
-    merge_owner_queues, BlockSegment, CoreCtx, CoreHandle, MemPort, OwnerQueues, MAX_TIERS,
-};
+pub use shard::{merge_owner_queues, CoreCtx, CoreHandle, MemPort, OwnerQueues, MAX_TIERS};
 pub use stats::MachineStats;
 pub use tier::{TierId, TierSpec, TierStorage};
 pub use tlb::Tlb;

@@ -19,8 +19,7 @@ use crate::mapping::{huge_eligible, Mapping, MappingTable, PageKind};
 use crate::pebs::{Pebs, SampleRecord};
 use crate::platform::Platform;
 use crate::shard::{
-    check_within_page, run_on_threads, BlockSegment, CoreCtx, CoreHandle, MemPort, TiersView,
-    MAX_TIERS,
+    check_within_page, run_on_threads, CoreCtx, CoreHandle, MemPort, TiersView, MAX_TIERS,
 };
 use crate::stats::MachineStats;
 use crate::tier::{Tier, TierId};
@@ -319,6 +318,8 @@ impl Machine {
             self.core.counters.accesses += c.counters.accesses;
             self.core.counters.reads += c.counters.reads;
             self.core.counters.writes += c.counters.writes;
+            // Internal invariant: `CoreHandle` has no migration entry point,
+            // so a forked core's migration counter cannot move.
             debug_assert_eq!(c.counters.bytes_migrated, 0, "cores cannot migrate");
             self.core.tlb.absorb_counters(&c.tlb);
             self.core.llc.absorb_counters(&c.llc);
@@ -339,7 +340,7 @@ impl Machine {
     /// (see [`shard`](crate::shard)) — and may drive any partition of
     /// the workload through the handle's accounted access methods. Results
     /// are returned in core order and per-core state is merged under the
-    /// deterministic reduction contract ([`Machine::join_cores`]).
+    /// deterministic reduction contract (see [`shard`](crate::shard)).
     ///
     /// With `cores == 1` the closure runs against the machine's resident
     /// core and no fork, merge or barrier happens at all: stats, clock,
@@ -420,6 +421,8 @@ impl Machine {
         }
         let pages = bytes.div_ceil(PAGE_SIZE);
         let vstart = self.next_vaddr;
+        // Internal invariant: `next_vaddr` starts 2 MiB aligned and only
+        // ever advances by whole 2 MiB units (see the bump below).
         debug_assert_eq!(vstart % (HUGE_PAGE_FRAMES << PAGE_SHIFT) as u64, 0);
 
         let plan: Vec<(TierId, usize)> = match placement {
@@ -736,158 +739,6 @@ impl Machine {
         self.core_handle().read_modify_write(va, f)
     }
 
-    /// Accounted indexed gather: reads element `indices[k]` of an array of
-    /// `elem_count` `T`s based at `base` into `out[k]`, for every `k`.
-    ///
-    /// Runs on the batched window engine ([`access_window`]
-    /// [Machine::access_window]), so simulated state ends **bit-identical**
-    /// to the equivalent [`read`](Machine::read) loop — on the success path
-    /// and, since counters are charged per element after each translation
-    /// resolves, on the error path as well.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped. Elements
-    /// before the failing one have been charged exactly as the scalar loop
-    /// would have charged them; the failing element has not.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` and `out` differ in length, or on an index out of
-    /// bounds (`>= elem_count`) — an out-of-range index would otherwise
-    /// silently alias a neighboring element.
-    pub(crate) fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()> {
-        self.core_handle()
-            .read_gather(base, elem_count, indices, out)
-    }
-
-    /// Accounted indexed scatter: writes `values[k]` into element
-    /// `indices[k]` of an array of `elem_count` `T`s based at `base`, for
-    /// every `k`, in index order.
-    ///
-    /// Runs on the batched window engine, so simulated state ends
-    /// **bit-identical** to the equivalent [`write`](Machine::write) loop.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
-    /// state matches the scalar loop (see [`read_gather`]
-    /// [Machine::read_gather]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `indices` and `values` differ in length, or on an
-    /// out-of-bounds index.
-    pub(crate) fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()> {
-        self.core_handle()
-            .write_scatter(base, elem_count, indices, values)
-    }
-
-    /// Accounted indexed read-modify-write window: for every `k` in index
-    /// order, replaces element `indices[k]` with `f(k, old)`, where `old` is
-    /// the element's current value. Duplicate indices observe earlier
-    /// updates from the same window, exactly like the per-element loop.
-    ///
-    /// Runs on the batched window engine, so simulated state ends
-    /// **bit-identical** to the equivalent [`read_modify_write`]
-    /// [Machine::read_modify_write] loop (which is itself bit-identical to a
-    /// read + write pair per element).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
-    /// state matches the scalar loop (see [`read_gather`]
-    /// [Machine::read_gather]).
-    ///
-    /// # Panics
-    ///
-    /// Panics on an out-of-bounds index.
-    pub(crate) fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()> {
-        self.core_handle()
-            .gather_update(base, elem_count, indices, f)
-    }
-
-    // ------------------------------------------------------------------
-    // Accounted bulk access (the TrackedVec slice fast path)
-    // ------------------------------------------------------------------
-
-    /// Performs an accounted bulk access over `range`, simulated as
-    /// `range.len / elem` consecutive scalar accesses of `elem` bytes each,
-    /// and returns the physically contiguous storage segments backing the
-    /// range in address order.
-    ///
-    /// This is the fast path behind the `TrackedVec` slice APIs: the mapping
-    /// table is consulted once per mapping chunk, the TLB once per
-    /// translation unit and the LLC once per cache line, instead of once per
-    /// element. Simulated state nevertheless ends **bit-identical** to the
-    /// equivalent per-element [`read`](Machine::read)/[`write`](Machine::write)
-    /// loop — TLB and LLC counters and replacement state, access counters,
-    /// the PEBS stream (including RNG state and sample costs), trace records
-    /// and the simulated clock. The key observation is that within a
-    /// sequential run only the *first* access to a translation unit or cache
-    /// line can miss; the batched update replays the exact counter updates
-    /// of the scalar path, and advances the clock once per element with the
-    /// identically composed cost (f64 accumulation order matters).
-    ///
-    /// `elem` must divide [`LINE_SIZE`] and `range` must be `elem`-aligned
-    /// at both ends, so that no element straddles a cache line — the bulk
-    /// analogue of the scalar path's no-page-straddle invariant.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of `range` is unmapped. Chunks
-    /// before the first unmapped page have already been charged, exactly as
-    /// the per-element loop would have charged them before erroring.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `elem` does not divide [`LINE_SIZE`] or `range` is not
-    /// `elem`-aligned.
-    pub(crate) fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>> {
-        self.core_handle().access_block(range, elem, write)
-    }
-
-    /// Borrows `len` bytes of `tier`'s backing storage. Bulk data path only:
-    /// accounting must already have happened via [`Machine::access_block`].
-    pub(crate) fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        self.tiers[tier.index()].storage.slice(offset, len)
-    }
-
-    /// Mutably borrows `len` bytes of `tier`'s backing storage. Bulk data
-    /// path only: accounting must already have happened via
-    /// [`Machine::access_block`].
-    pub(crate) fn storage_slice_mut(
-        &mut self,
-        tier: TierId,
-        offset: usize,
-        len: usize,
-    ) -> &mut [u8] {
-        self.tiers[tier.index()].storage.slice_mut(offset, len)
-    }
-
     // ------------------------------------------------------------------
     // Unaccounted access (setup / verification)
     // ------------------------------------------------------------------
@@ -1060,32 +911,7 @@ impl Machine {
         dst: FrameRun,
         threads: usize,
     ) -> Result<SimDuration> {
-        let segments = self.region_segments(range)?;
-        if dst.bytes() < range.len {
-            return Err(HmsError::InvalidRange {
-                start: range.start,
-                len: range.len,
-            });
-        }
-        if self.fault_fires(FaultSite::Move) {
-            return Err(HmsError::FaultInjected(FaultSite::Move));
-        }
-        let mut jobs = Vec::with_capacity(segments.len());
-        let mut dst_off = dst.start as usize * PAGE_SIZE;
-        for (src_tier, src_off, len) in segments {
-            jobs.push(CopyJob {
-                src_tier,
-                src_off,
-                dst_tier,
-                dst_off,
-                len,
-            });
-            dst_off += len;
-        }
-        let time = self.estimate_copy_time(&jobs, threads);
-        self.execute_copies(&jobs);
-        self.core.clock.advance(time);
-        Ok(time)
+        self.copy_staging(range, dst_tier, dst, true, threads)
     }
 
     /// Copies bytes from the staging run `src` on `src_tier` back into the
@@ -1102,8 +928,24 @@ impl Machine {
         range: VirtRange,
         threads: usize,
     ) -> Result<SimDuration> {
+        self.copy_staging(range, src_tier, src, false, threads)
+    }
+
+    /// The body of both staging-copy directions: copies between the
+    /// page-aligned virtual `range` and the frame run `run` on `run_tier`,
+    /// into the run if `to_run`, out of it otherwise. Checks the range's
+    /// segments, then the run's size, then the [`FaultSite::Move`] gate,
+    /// before any byte moves.
+    fn copy_staging(
+        &mut self,
+        range: VirtRange,
+        run_tier: TierId,
+        run: FrameRun,
+        to_run: bool,
+        threads: usize,
+    ) -> Result<SimDuration> {
         let segments = self.region_segments(range)?;
-        if src.bytes() < range.len {
+        if run.bytes() < range.len {
             return Err(HmsError::InvalidRange {
                 start: range.start,
                 len: range.len,
@@ -1112,18 +954,26 @@ impl Machine {
         if self.fault_fires(FaultSite::Move) {
             return Err(HmsError::FaultInjected(FaultSite::Move));
         }
-        let mut jobs = Vec::with_capacity(segments.len());
-        let mut src_off = src.start as usize * PAGE_SIZE;
-        for (dst_tier, dst_off, len) in segments {
-            jobs.push(CopyJob {
-                src_tier,
-                src_off,
-                dst_tier,
-                dst_off,
-                len,
-            });
-            src_off += len;
-        }
+        let mut run_off = run.start as usize * PAGE_SIZE;
+        let jobs: Vec<CopyJob> = segments
+            .into_iter()
+            .map(|(tier, off, len)| {
+                let (region, staged) = ((tier, off), (run_tier, run_off));
+                run_off += len;
+                let ((src_tier, src_off), (dst_tier, dst_off)) = if to_run {
+                    (region, staged)
+                } else {
+                    (staged, region)
+                };
+                CopyJob {
+                    src_tier,
+                    src_off,
+                    dst_tier,
+                    dst_off,
+                    len,
+                }
+            })
+            .collect();
         let time = self.estimate_copy_time(&jobs, threads);
         self.execute_copies(&jobs);
         self.core.clock.advance(time);
@@ -1241,9 +1091,16 @@ impl Machine {
     /// it. Splitting a huge mapping at an unaligned point demotes the
     /// broken 2 MiB unit to base pages (and invalidates its TLB entries),
     /// as a real kernel would.
+    ///
+    /// # Panics
+    ///
+    /// Panics in every profile if `range` is not page-aligned at both ends:
+    /// the split would otherwise silently happen at the floored page.
     pub fn split_mappings_at(&mut self, range: VirtRange) {
-        debug_assert_eq!(range.start.page_offset(), 0);
-        debug_assert_eq!(range.len % PAGE_SIZE, 0);
+        assert!(
+            range.start.page_offset() == 0 && range.len.is_multiple_of(PAGE_SIZE),
+            "split range {range:?} is not page-aligned"
+        );
         for boundary in [range.start.page_index(), range.end().page_index()] {
             let m = match self.mappings.lookup_page(boundary) {
                 Some(m) if m.vpage_start < boundary => *m,
@@ -1763,51 +1620,8 @@ impl MemPort for Machine {
         Machine::poke(self, va, value)
     }
 
-    fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>> {
-        Machine::access_block(self, range, elem, write)
-    }
-
-    fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        Machine::storage_slice(self, tier, offset, len)
-    }
-
-    fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
-        Machine::storage_slice_mut(self, tier, offset, len)
-    }
-
-    fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()> {
-        Machine::read_gather(self, base, elem_count, indices, out)
-    }
-
-    fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()> {
-        Machine::write_scatter(self, base, elem_count, indices, values)
-    }
-
-    fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()> {
-        Machine::gather_update(self, base, elem_count, indices, f)
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R {
+        f(&mut self.core_handle())
     }
 }
 
@@ -2438,6 +2252,16 @@ mod tests {
             len: PAGE_SIZE,
         };
         m.execute_copies(&[job(0), job(PAGE_SIZE / 2)]);
+    }
+
+    /// An unaligned split range would silently split at the floored page,
+    /// so it panics in every profile (also run under `--release` by ci.sh).
+    #[test]
+    #[should_panic(expected = "not page-aligned")]
+    fn unaligned_split_is_rejected() {
+        let mut m = machine();
+        let r = m.alloc(8 * PAGE_SIZE, Placement::Slow).unwrap();
+        m.split_mappings_at(VirtRange::new(r.start.add(100), 2 * PAGE_SIZE));
     }
 
     /// A scalar that straddles a page boundary would be split across

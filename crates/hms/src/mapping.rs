@@ -56,14 +56,16 @@ impl Mapping {
     ///
     /// # Panics
     ///
-    /// Panics in debug builds if `va` is outside the mapping.
+    /// Panics in every profile if `va` is outside the mapping: the frame
+    /// arithmetic would otherwise silently name a frame the mapping does
+    /// not own.
+    #[inline]
     pub fn translate(&self, va: VirtAddr) -> (Frame, usize) {
-        let vpage = va.page_index();
-        debug_assert!(
-            vpage >= self.vpage_start && vpage < self.vpage_start + self.pages as u64,
-            "translate outside mapping"
-        );
-        let frame_index = self.frame_start + (vpage - self.vpage_start) as u32;
+        // One compare covers both ends: a page below the mapping wraps to a
+        // huge offset.
+        let rel = va.page_index().wrapping_sub(self.vpage_start);
+        assert!(rel < self.pages as u64, "translate outside mapping");
+        let frame_index = self.frame_start + rel as u32;
         (Frame::new(self.tier, frame_index), va.page_offset())
     }
 
@@ -287,6 +289,8 @@ pub fn split_mapping(m: &Mapping, at_vpage: u64) -> (Vec<Mapping>, Vec<Mapping>)
         ),
         PageKind::Huge2M => {
             let unit = HUGE_PAGE_FRAMES as u64;
+            // Internal invariant: huge mappings are only ever built on whole
+            // aligned units (`huge_eligible`, and this function's own output).
             debug_assert_eq!(m.vpage_start % unit, 0);
             debug_assert_eq!(m.pages as u64 % unit, 0);
             let unit_lo = (at_vpage / unit) * unit; // unit containing the cut
@@ -365,6 +369,16 @@ mod tests {
         let (f, off) = map.translate(VirtAddr::new((18 << PAGE_SHIFT) + 7));
         assert_eq!(f.index, 102);
         assert_eq!(off, 7);
+    }
+
+    /// `translate` is public and `Machine::mappings_in` hands mappings to
+    /// any caller, so the range check is hard in every profile: without it
+    /// page 40 of a 16..24 -> 100..108 mapping silently becomes frame 124.
+    #[test]
+    #[should_panic(expected = "translate outside mapping")]
+    fn translate_outside_mapping_is_rejected() {
+        let map = m(16, 8, 100, PageKind::Base4K);
+        let _ = map.translate(VirtAddr::new(40 << PAGE_SHIFT));
     }
 
     #[test]

@@ -37,7 +37,7 @@
 //!
 //! ## The partition contract
 //!
-//! Shared tier storage is handed to cores as a [`TiersView`] of raw
+//! Shared tier storage is handed to cores as a `TiersView` of raw
 //! pointers. Cores may *read* any mapped byte concurrently; a byte
 //! **written** by one core during a phase must not be read or written by
 //! any other core in the same phase (kernels partition their output ranges
@@ -62,7 +62,7 @@ use crate::tlb::Tlb;
 use crate::trace::{AccessKind, Tracer};
 
 /// Maximum number of tiers a machine (and the window engine's cost table,
-/// the residency caches, and a [`TiersView`]) can carry. Platform presets
+/// the residency caches, and a `TiersView`) can carry. Platform presets
 /// range from two (the paper testbeds) to four (HBM-DRAM-CXL-NVM).
 pub const MAX_TIERS: usize = 8;
 
@@ -88,15 +88,15 @@ pub(crate) struct Counters {
 
 /// One physically contiguous piece of a bulk access: `len` bytes starting
 /// at byte `offset` of `tier`'s storage. Produced by
-/// [`MemPort::access_block`]; consumed by the `TrackedVec` slice APIs.
+/// [`CoreHandle::access_block`]; consumed by the `TrackedVec` slice APIs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct BlockSegment {
+pub(crate) struct BlockSegment {
     /// Tier whose storage backs this piece.
-    pub tier: TierId,
+    pub(crate) tier: TierId,
     /// Byte offset into the tier storage.
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// Length in bytes.
-    pub len: usize,
+    pub(crate) len: usize,
 }
 
 /// The private state of one simulated core.
@@ -169,7 +169,10 @@ impl CoreCtx {
     pub(crate) fn lookup(&mut self, mappings: &MappingTable, va: VirtAddr) -> Result<Mapping> {
         let vpage = va.page_index();
         if let Some(m) = self.map_memo {
-            if vpage >= m.vpage_start && vpage < m.vpage_start + m.pages as u64 {
+            // Same form as `Mapping::translate`'s hard check, so a memo hit
+            // can share it after inlining: with a two-compare form here, that
+            // check cost about 5% of `protocol-1core` host time (2-vCPU host).
+            if vpage.wrapping_sub(m.vpage_start) < m.pages as u64 {
                 return Ok(m);
             }
         }
@@ -596,14 +599,24 @@ impl<'a> CoreHandle<'a> {
         Ok(())
     }
 
-    /// Accounted indexed gather (see
-    /// [`MemPort::read_gather`]).
+    /// Accounted indexed gather: reads element `indices[k]` of an array of
+    /// `elem_count` `T`s based at `base` into `out[k]`, for every `k`.
+    ///
+    /// Runs on the batched window engine
+    /// ([`access_window`](CoreHandle::access_window)), so simulated state
+    /// ends **bit-identical** to the equivalent [`read`](CoreHandle::read)
+    /// loop, on the error path as well.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if any accessed address is unmapped. Elements
     /// before the failing one have been charged exactly as the scalar loop
     /// would have charged them; the failing element has not.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` and `out` differ in length, or on an index out of
+    /// bounds (`>= elem_count`).
     pub(crate) fn read_gather<T: Scalar>(
         &mut self,
         base: VirtAddr,
@@ -612,18 +625,25 @@ impl<'a> CoreHandle<'a> {
         out: &mut [T],
     ) -> Result<()> {
         assert_eq!(indices.len(), out.len(), "index/output length mismatch");
-        check_window_width(elem_count);
         self.access_window::<T, OP_READ>(base, elem_count, indices, |k, bytes| {
             out[k] = T::from_le_slice(bytes);
         })
     }
 
-    /// Accounted indexed scatter (see [`MemPort::write_scatter`]).
+    /// Accounted indexed scatter: writes `values[k]` into element
+    /// `indices[k]` of an array of `elem_count` `T`s based at `base`, for
+    /// every `k`, in index order. Simulated state ends **bit-identical** to
+    /// the equivalent [`write`](CoreHandle::write) loop.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
     /// state matches the scalar loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `indices` and `values` differ in length, or on an
+    /// out-of-bounds index.
     pub(crate) fn write_scatter<T: Scalar>(
         &mut self,
         base: VirtAddr,
@@ -632,19 +652,25 @@ impl<'a> CoreHandle<'a> {
         values: &[T],
     ) -> Result<()> {
         assert_eq!(indices.len(), values.len(), "index/value length mismatch");
-        check_window_width(elem_count);
         self.access_window::<T, OP_WRITE>(base, elem_count, indices, |k, bytes| {
             values[k].write_le_slice(bytes);
         })
     }
 
-    /// Accounted indexed read-modify-write window (see
-    /// [`MemPort::gather_update`]).
+    /// Accounted indexed read-modify-write window: for every `k` in index
+    /// order, replaces element `indices[k]` with `f(k, old)`. Duplicate
+    /// indices observe earlier updates from the same window. Simulated state
+    /// ends **bit-identical** to the equivalent
+    /// [`read_modify_write`](CoreHandle::read_modify_write) loop.
     ///
     /// # Errors
     ///
     /// [`HmsError::Unmapped`] if any accessed address is unmapped; partial
     /// state matches the scalar loop.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an out-of-bounds index.
     pub(crate) fn gather_update<T: Scalar>(
         &mut self,
         base: VirtAddr,
@@ -652,7 +678,6 @@ impl<'a> CoreHandle<'a> {
         indices: &[u32],
         mut f: impl FnMut(usize, T) -> T,
     ) -> Result<()> {
-        check_window_width(elem_count);
         self.access_window::<T, OP_RMW>(base, elem_count, indices, |k, bytes| {
             let old = T::from_le_slice(bytes);
             f(k, old).write_le_slice(bytes);
@@ -694,6 +719,15 @@ impl<'a> CoreHandle<'a> {
         indices: &[u32],
         mut data: impl FnMut(usize, &mut [u8]),
     ) -> Result<()> {
+        // Elements are addressed through `&[u32]`, so a vec beyond 2^32
+        // elements would silently truncate indices on the billion-edge path;
+        // such sweeps must go through the range-based block path
+        // (`access_block`) instead.
+        assert!(
+            elem_count <= u32::MAX as usize + 1,
+            "window over {elem_count} elements exceeds u32 index range; \
+             use the range-based block path for large sweeps"
+        );
         let coalesce = self.platform.tlb_coalesce;
         let walk_cost = self.platform.cost.walk_cost();
         let hit_cost = self.platform.cost.hit_cost();
@@ -943,8 +977,17 @@ impl<'a> CoreHandle<'a> {
         Ok(())
     }
 
-    /// Performs an accounted bulk access over `range` (see
-    /// [`MemPort::access_block`]).
+    /// Performs an accounted bulk access over `range`, simulated as
+    /// `range.len / elem` consecutive scalar accesses of `elem` bytes each,
+    /// and returns the physically contiguous storage segments backing the
+    /// range in address order.
+    ///
+    /// The fast path behind the `TrackedVec` slice APIs: the mapping table
+    /// is consulted once per mapping chunk, the TLB once per translation
+    /// unit and the LLC once per cache line. Within a sequential run only
+    /// the *first* access to a unit or line can miss, so simulated state
+    /// still ends **bit-identical** to the per-element
+    /// [`read`](CoreHandle::read) / [`write`](CoreHandle::write) loop.
     ///
     /// # Errors
     ///
@@ -1107,20 +1150,6 @@ impl<'a> CoreHandle<'a> {
     }
 }
 
-/// Rejects index windows over objects too large for `u32` indices. The
-/// window engine addresses elements through `&[u32]`, so a vec beyond
-/// 2^32 elements would silently truncate indices on the billion-edge path;
-/// such sweeps must go through the range-based block path
-/// ([`CoreHandle::access_block`]) instead.
-#[inline]
-pub(crate) fn check_window_width(elem_count: usize) {
-    assert!(
-        elem_count <= u32::MAX as usize + 1,
-        "window over {elem_count} elements exceeds u32 index range; \
-         use the range-based block path for large sweeps"
-    );
-}
-
 /// End of the TLB translation unit containing `va` under `mapping`: the
 /// address at which [`Mapping::tlb_key`] first changes. Huge mappings share
 /// one key per huge unit; base pages in a fully covered coalescing group
@@ -1157,6 +1186,11 @@ fn tlb_unit_end(mapping: &Mapping, va: VirtAddr, coalesce: usize) -> VirtAddr {
 /// `TrackedVec`, `MemCtx`, the graph kernels — is generic over this trait,
 /// so the same kernel body runs unchanged on the scalar engine and inside
 /// a core partition.
+///
+/// The surface is five scalar calls plus [`with_core`](MemPort::with_core).
+/// A scalar access is too small to pay for a [`CoreHandle`] per element;
+/// the batched block and window engines run on one handle per call,
+/// obtained through `with_core`.
 pub trait MemPort {
     /// Reads a little-endian scalar through the full accounted path.
     ///
@@ -1203,68 +1237,10 @@ pub trait MemPort {
     /// boundary (nothing is charged).
     fn poke<T: Scalar>(&mut self, va: VirtAddr, value: T) -> Result<()>;
 
-    /// Accounted bulk access over `range`, returning the physically
-    /// contiguous storage segments backing it (the `TrackedVec` slice fast
-    /// path).
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any byte of `range` is unmapped.
-    fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>>;
-
-    /// Borrows `len` bytes of `tier`'s backing storage (bulk data path;
-    /// accounting must already have happened via
-    /// [`access_block`](MemPort::access_block)).
-    fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8];
-
-    /// Mutably borrows `len` bytes of `tier`'s backing storage (bulk data
-    /// path; accounting must already have happened).
-    fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8];
-
-    /// Accounted indexed gather through the batched window engine.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped.
-    fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()>;
-
-    /// Accounted indexed scatter through the batched window engine.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped.
-    fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()>;
-
-    /// Accounted indexed read-modify-write window through the batched
-    /// window engine.
-    ///
-    /// # Errors
-    ///
-    /// [`HmsError::Unmapped`] if any accessed address is unmapped.
-    fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()>;
+    /// Runs `f` on this port's core access engine: the handle itself on a
+    /// [`CoreHandle`], a handle over the resident core on a
+    /// [`Machine`](crate::Machine).
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R;
 }
 
 impl MemPort for CoreHandle<'_> {
@@ -1288,51 +1264,8 @@ impl MemPort for CoreHandle<'_> {
         CoreHandle::poke(self, va, value)
     }
 
-    fn access_block(
-        &mut self,
-        range: VirtRange,
-        elem: usize,
-        write: bool,
-    ) -> Result<Vec<BlockSegment>> {
-        CoreHandle::access_block(self, range, elem, write)
-    }
-
-    fn storage_slice(&self, tier: TierId, offset: usize, len: usize) -> &[u8] {
-        CoreHandle::storage_slice(self, tier, offset, len)
-    }
-
-    fn storage_slice_mut(&mut self, tier: TierId, offset: usize, len: usize) -> &mut [u8] {
-        CoreHandle::storage_slice_mut(self, tier, offset, len)
-    }
-
-    fn read_gather<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        out: &mut [T],
-    ) -> Result<()> {
-        CoreHandle::read_gather(self, base, elem_count, indices, out)
-    }
-
-    fn write_scatter<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        values: &[T],
-    ) -> Result<()> {
-        CoreHandle::write_scatter(self, base, elem_count, indices, values)
-    }
-
-    fn gather_update<T: Scalar>(
-        &mut self,
-        base: VirtAddr,
-        elem_count: usize,
-        indices: &[u32],
-        f: impl FnMut(usize, T) -> T,
-    ) -> Result<()> {
-        CoreHandle::gather_update(self, base, elem_count, indices, f)
+    fn with_core<R>(&mut self, f: impl FnOnce(&mut CoreHandle<'_>) -> R) -> R {
+        f(self)
     }
 }
 
@@ -1421,9 +1354,6 @@ pub fn merge_owner_queues<T>(per_core: Vec<OwnerQueues<T>>) -> Vec<Vec<T>> {
     }
     merged
 }
-
-// Silence an unused-import false positive when error docs reference it.
-const _: fn(HmsError) = |_| {};
 
 #[cfg(test)]
 mod owner_queue_tests {

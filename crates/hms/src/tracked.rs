@@ -157,7 +157,8 @@ impl<T: Scalar> TrackedVec<T> {
     }
 
     /// Accounted bulk read of `out.len()` consecutive elements starting at
-    /// element `start`, through [`Machine::access_block`]'s fast path.
+    /// element `start`, through the block fast path of the port's
+    /// [`CoreHandle`](crate::shard::CoreHandle).
     ///
     /// Simulated state (counters, TLB/LLC contents, PEBS stream, clock) ends
     /// bit-identical to the equivalent [`get`](TrackedVec::get) loop; only
@@ -178,23 +179,27 @@ impl<T: Scalar> TrackedVec<T> {
             return;
         }
         let range = VirtRange::new(self.addr_of(start), out.len() * T::SIZE);
-        let segments = machine
-            .access_block(range, T::SIZE, false)
-            .expect("tracked range unmapped");
-        let mut rest = &mut out[..];
-        for seg in segments {
-            let (head, tail) = rest.split_at_mut(seg.len / T::SIZE);
-            let bytes = machine.storage_slice(seg.tier, seg.offset, seg.len);
-            for (slot, chunk) in head.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
-                *slot = T::from_le_slice(chunk);
+        machine.with_core(|core| {
+            let segments = core
+                .access_block(range, T::SIZE, false)
+                .expect("tracked range unmapped");
+            let mut rest = &mut out[..];
+            for seg in segments {
+                let (head, tail) = rest.split_at_mut(seg.len / T::SIZE);
+                let bytes = core.storage_slice(seg.tier, seg.offset, seg.len);
+                for (slot, chunk) in head.iter_mut().zip(bytes.chunks_exact(T::SIZE)) {
+                    *slot = T::from_le_slice(chunk);
+                }
+                rest = tail;
             }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
+            // Internal invariant, not an input check: `access_block` only
+            // returns Ok with segments that tile `range` exactly.
+            debug_assert!(rest.is_empty());
+        });
     }
 
     /// Accounted bulk write of `values` to consecutive elements starting at
-    /// element `start`, through [`Machine::access_block`]'s fast path.
+    /// element `start`, through the core engine's block fast path.
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`set`](TrackedVec::set) loop; only host wall-clock time differs.
@@ -214,69 +219,27 @@ impl<T: Scalar> TrackedVec<T> {
             return;
         }
         let range = VirtRange::new(self.addr_of(start), values.len() * T::SIZE);
-        let segments = machine
-            .access_block(range, T::SIZE, true)
-            .expect("tracked range unmapped");
-        let mut rest = values;
-        for seg in segments {
-            let (head, tail) = rest.split_at(seg.len / T::SIZE);
-            let bytes = machine.storage_slice_mut(seg.tier, seg.offset, seg.len);
-            for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
-                value.write_le_slice(chunk);
+        machine.with_core(|core| {
+            let segments = core
+                .access_block(range, T::SIZE, true)
+                .expect("tracked range unmapped");
+            let mut rest = values;
+            for seg in segments {
+                let (head, tail) = rest.split_at(seg.len / T::SIZE);
+                let bytes = core.storage_slice_mut(seg.tier, seg.offset, seg.len);
+                for (&value, chunk) in head.iter().zip(bytes.chunks_exact_mut(T::SIZE)) {
+                    value.write_le_slice(chunk);
+                }
+                rest = tail;
             }
-            rest = tail;
-        }
-        debug_assert!(rest.is_empty());
-    }
-
-    /// Accounted bulk scan: calls `f(index, value)` for `len` consecutive
-    /// elements starting at element `start`, through
-    /// [`Machine::access_block`]'s fast path.
-    ///
-    /// Simulated state ends bit-identical to the equivalent
-    /// [`get`](TrackedVec::get) loop; only host wall-clock time differs.
-    /// Note that `f` observes values as of the start of the scan — a kernel
-    /// whose loop body writes elements it will scan later (e.g. in-place
-    /// label propagation) must use the per-element path instead.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start + len > self.len()` or if the range is unmapped.
-    pub fn scan(
-        &self,
-        machine: &mut impl MemPort,
-        start: usize,
-        len: usize,
-        mut f: impl FnMut(usize, T),
-    ) {
-        assert!(
-            start + len <= self.len,
-            "scan [{start}, {}) out of bounds (len {})",
-            start + len,
-            self.len
-        );
-        if len == 0 {
-            return;
-        }
-        let range = VirtRange::new(self.addr_of(start), len * T::SIZE);
-        let segments = machine
-            .access_block(range, T::SIZE, false)
-            .expect("tracked range unmapped");
-        let mut i = start;
-        for seg in segments {
-            for bytes in machine
-                .storage_slice(seg.tier, seg.offset, seg.len)
-                .chunks_exact(T::SIZE)
-            {
-                f(i, T::from_le_slice(bytes));
-                i += 1;
-            }
-        }
-        debug_assert_eq!(i, start + len);
+            // Internal invariant (see `read_slice`).
+            debug_assert!(rest.is_empty());
+        });
     }
 
     /// Accounted indexed gather: reads element `indices[k]` into `out[k]`
-    /// for every `k`, in order, through [`Machine::read_gather`].
+    /// for every `k`, in order, through the core engine's batched window
+    /// path.
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`get`](TrackedVec::get) loop; only per-call host overhead is hoisted
@@ -292,14 +255,14 @@ impl<T: Scalar> TrackedVec<T> {
     pub fn gather(&self, machine: &mut impl MemPort, indices: &[u32], out: &mut [T]) {
         self.check_window("gather", indices);
         machine
-            .read_gather::<T>(self.range.start, self.len, indices, out)
+            .with_core(|core| core.read_gather::<T>(self.range.start, self.len, indices, out))
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()));
     }
 
     /// Accounted indexed scatter: writes `values[k]` to element `indices[k]`
-    /// for every `k`, in order, through [`Machine::write_scatter`]'s batched
-    /// window engine. Duplicate indices are written in order (the last value
-    /// wins), exactly like the per-element loop.
+    /// for every `k`, in order, through the core engine's batched window
+    /// path. Duplicate indices are written in order (the last value wins),
+    /// exactly like the per-element loop.
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`set`](TrackedVec::set) loop; only host wall-clock time differs.
@@ -313,15 +276,15 @@ impl<T: Scalar> TrackedVec<T> {
     pub fn scatter(&self, machine: &mut impl MemPort, indices: &[u32], values: &[T]) {
         self.check_window("scatter", indices);
         machine
-            .write_scatter::<T>(self.range.start, self.len, indices, values)
+            .with_core(|core| core.write_scatter::<T>(self.range.start, self.len, indices, values))
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()));
     }
 
     /// Accounted indexed read-modify-write window: for every `k` in order,
     /// replaces element `indices[k]` with `f(k, old)` where `old` is the
-    /// element's current value, through [`Machine::gather_update`]'s batched
-    /// window engine. Duplicate indices observe earlier updates from the
-    /// same window, exactly like an [`update`](TrackedVec::update) loop.
+    /// element's current value, through the core engine's batched window
+    /// path. Duplicate indices observe earlier updates from the same window,
+    /// exactly like an [`update`](TrackedVec::update) loop.
     ///
     /// Simulated state ends bit-identical to the equivalent
     /// [`update`](TrackedVec::update) loop (itself bit-identical to a
@@ -342,7 +305,7 @@ impl<T: Scalar> TrackedVec<T> {
     ) {
         self.check_window("gather_update", indices);
         machine
-            .gather_update::<T>(self.range.start, self.len, indices, f)
+            .with_core(|core| core.gather_update::<T>(self.range.start, self.len, indices, f))
             .unwrap_or_else(|e| panic!("tracked vec `{}` unmapped: {e}", self.label()));
     }
 
@@ -486,15 +449,13 @@ mod tests {
         }
         assert_eq!(out, values, "bulk read returned wrong data");
 
-        // Interior, cache-line-unaligned scan (element 3 = byte 12).
+        // Interior, cache-line-unaligned read (element 3 = byte 12).
         let (start, len) = (3, 12_345);
-        let mut sum_b = 0u64;
-        vb.scan(&mut bulk, start, len, |_, x| sum_b += u64::from(x));
-        let mut sum_s = 0u64;
-        for i in start..start + len {
-            sum_s += u64::from(vs.get(&mut scalar, i));
+        let mut interior = vec![0u32; len];
+        vb.read_slice(&mut bulk, start, &mut interior);
+        for (k, &x) in interior.iter().enumerate() {
+            assert_eq!(vs.get(&mut scalar, start + k), x);
         }
-        assert_eq!(sum_b, sum_s);
 
         // Interior overwrite at an odd offset.
         let patch: Vec<u32> = (0..4_321u32).collect();
@@ -705,7 +666,7 @@ mod tests {
             m.pebs_enable(3, 1);
             m.trace_enable();
         }
-        // Only `live` elements are mapped; the machine-level call is told
+        // Only `live` elements are mapped; the engine call is told
         // the array is `n` elements long, so indices past the mapping hit
         // unmapped memory mid-window.
         let n = 4096;
@@ -718,7 +679,7 @@ mod tests {
         // A window that walks some live lines then steps off the mapping.
         let indices: Vec<u32> = [0u32, 1, 2, 64, 64, 700, 701, 2048, 3].to_vec();
         let mut out = vec![0u32; indices.len()];
-        let err_b = bulk.read_gather::<u32>(base_b, n, &indices, &mut out);
+        let err_b = bulk.with_core(|core| core.read_gather::<u32>(base_b, n, &indices, &mut out));
         assert!(err_b.is_err(), "gather should hit the unmapped tail");
         let mut scalar_failed = false;
         for &i in &indices {
@@ -764,7 +725,7 @@ mod tests {
         // Index 9 is mapped (the vec has 1024 elements) but out of range for
         // the declared window width of 8 — only the hard check can catch it.
         let mut out = [0u32; 1];
-        let _ = m.read_gather::<u32>(v.range().start, 8, &[9], &mut out);
+        let _ = m.with_core(|core| core.read_gather::<u32>(v.range().start, 8, &[9], &mut out));
     }
 
     /// The u32-truncation fix: a window over an object wider than the u32
@@ -777,7 +738,9 @@ mod tests {
         let mut m = spill_machine();
         let v = TrackedVec::<u32>::new(&mut m, 1024, Placement::Slow).unwrap();
         let mut out = [0u32; 1];
-        let _ = m.read_gather::<u32>(v.range().start, (1usize << 32) + 2, &[0], &mut out);
+        let base = v.range().start;
+        let _ =
+            m.with_core(|core| core.read_gather::<u32>(base, (1usize << 32) + 2, &[0], &mut out));
     }
 
     /// Element accessors bounds-check in every profile: index 10 of a

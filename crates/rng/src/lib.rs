@@ -149,6 +149,8 @@ pub trait SampleRange {
 /// Uniform draw from `[0, span)` without modulo bias (Lemire's method).
 #[inline]
 fn uniform_below(rng: &mut SmallRng, span: u64) -> u64 {
+    // Internal invariant: every caller rejects an empty range first, and a
+    // zero span would still panic on the `%` below in every profile.
     debug_assert!(span > 0);
     let threshold = span.wrapping_neg() % span;
     loop {
